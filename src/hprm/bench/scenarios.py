@@ -204,8 +204,6 @@ def _spawn_store(procs: _Procs, capacity: int) -> str:
             sock,
             "--capacity-bytes",
             str(capacity),
-            "--directory",
-            str(procs.workdir / "objects"),
         ],
     )
     deadline = time.monotonic() + 15
@@ -597,7 +595,7 @@ def measure_write_delay(size_bytes: int, iterations: int = 15, warmup: int = 3):
     transfer buffer.  Returns (store_ns, baseline_ns) sample tuples.
 
     The store is sized to hold three payloads so creates recycle evicted
-    backing files, as they do under sustained publishing; both pipelines
+    segments, as they do under sustained publishing; both pipelines
     are then measured against warm buffers rather than charging the
     store side a one-time page-fault cost the baseline never pays.
     """

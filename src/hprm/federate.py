@@ -58,7 +58,7 @@ from hprm.serde import (
     payload_from_spans,
     serialize,
 )
-from hprm.store import ObjectRef, SealedObject, StoreClient
+from hprm.store import ObjectRef, SealedObject, StoreClient, StoreError
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Tag, bound_tag, delay_tag
 from hprm.topology import Topology
 from hprm.transport import (
@@ -77,6 +77,9 @@ CENTRALIZED = "centralized"
 DECENTRALIZED = "decentralized"
 
 DEFAULT_INLINE_THRESHOLD = 65536 - 22  # a frame must fit the eager buffer
+# OBJ_REF frames a reader may leave unacknowledged: the store may evict an
+# object no one has pinned yet, so a publisher must not run further ahead.
+OBJ_WINDOW = 4
 
 
 def _elevate_io_thread() -> None:
@@ -294,6 +297,8 @@ class Federate:
         # Per-reader store clients; pins release through them after the
         # reader exits, so they close at shutdown (see _peer_reader).
         self._reader_stores: list[StoreClient] = []
+        self._pin_budget = 0  # bytes queued events may pin; see _dispatch_peer_frame
+        self._unacked: dict[str, int] = {}  # OBJ_REF frames per reader
 
     # -- wiring ------------------------------------------------------------
 
@@ -359,8 +364,9 @@ class Federate:
         """Send a value from the executing tag down every matching connection.
 
         Large payloads go through the object store (one shared object for
-        the whole fan-out); small ones travel inline.  Returns the number
-        of deliveries."""
+        the whole fan-out); small ones travel inline.  A store reference
+        waits until its reader has acknowledged all but ``OBJ_WINDOW - 1``
+        earlier ones.  Returns the number of deliveries."""
         with self._lock:
             if not self._executing:
                 raise FederateError("publish is only legal inside a reaction")
@@ -400,6 +406,8 @@ class Federate:
             if conn is None:
                 raise DeliveryError(f"no connection to {edge.dst!r}")
             try:
+                if ref is not None:
+                    self._await_ack(edge.dst, conn)
                 conn.send_frame(frame)
             except (TransportError, OSError) as exc:
                 raise DeliveryError(f"sending to {edge.dst!r}: {exc}") from exc
@@ -407,6 +415,18 @@ class Federate:
                 self.messages_sent += 1
             delivered += 1
         return delivered
+
+    def _await_ack(self, dst: str, conn: FrameConnection) -> None:
+        """Count one more OBJ_REF to ``dst``, first reading its OBJ_ACKs
+        until fewer than ``OBJ_WINDOW`` are unacknowledged."""
+        unacked = self._unacked.get(dst, 0)
+        while unacked >= OBJ_WINDOW:
+            frame = conn.recv_frame()
+            if frame is None:
+                raise TransportError("connection closed")
+            if frame.type == FrameType.OBJ_ACK:
+                unacked -= 1
+        self._unacked[dst] = unacked + 1
 
     def _store_payload(self, payload: SerializedPayload) -> ObjectRef | None:
         layout = build_layout(payload)
@@ -442,6 +462,7 @@ class Federate:
         self._listener = FrameListener(self.config.listen_host, 0, opts)
         if self.config.store_path:
             self._store = StoreClient(self.config.store_path)
+            self._pin_budget = self._store.stats()["capacity_bytes"] // 2
         self._rti = connect(
             self.config.rti_address, opts, retry_for=self.config.connect_retry_s
         )
@@ -533,8 +554,8 @@ class Federate:
         if store is not None:
             # The executor releases pins through this client long after
             # the connection EOFs, so it closes at shutdown, not here;
-            # dropping it early would let the daemon recycle backing
-            # files that queued payloads still map.
+            # dropping it early would let the daemon recycle segments
+            # that queued payloads still map.
             self._reader_stores.append(store)
         last_release = 0
         try:
@@ -592,10 +613,37 @@ class Federate:
             self._arrive(frame, src, payload, None)
         elif frame.type == FrameType.OBJ_REF:
             ref = ObjectRef.decode(frame.body)
-            sealed = store.get(ref.oid, self.config.store_get_timeout_ns)
-            payload = payload_from_spans(
-                sealed.view, ref.inband_span, ref.segment_spans
-            )
+            try:
+                sealed = store.get(ref.oid, self.config.store_get_timeout_ns)
+            except (StoreError, OSError) as exc:
+                # The message is lost: fail the run rather than carry on
+                # without it.  It did arrive, so count it and report, or
+                # the coordinator would wait forever for it to land.
+                with self._lock:
+                    if self._fatal is None:
+                        self._fatal = DeliveryError(
+                            f"{self.fid}: object {ref.oid.hex()[:12]} from "
+                            f"{src!r} could not be read: {exc}"
+                        )
+                    self.messages_received += 1
+                    self._report_progress_locked(force=True)
+                    self._cond.notify_all()
+                return
+            try:
+                conn.send_frame(Frame(FrameType.OBJ_ACK, frame.tag))
+            except (TransportError, OSError):
+                pass  # the publisher has gone and needs no more credit
+            with self._lock:
+                pinned = sum(q.sealed.size for q in self._queue if q.sealed)
+            view = sealed.view
+            if pinned + sealed.size > self._pin_budget:
+                # Queued events already pin half the store: copy this
+                # payload and unpin it, so that pins never crowd out the
+                # objects publishers create next.
+                view = memoryview(bytes(view))
+                sealed.release()
+                sealed = None
+            payload = payload_from_spans(view, ref.inband_span, ref.segment_spans)
             self._arrive(frame, src, payload, sealed)
         elif frame.type == FrameType.PING:
             conn.send_frame(frame)

@@ -1,9 +1,11 @@
 """Shared-memory object store.
 
-A small daemon owns a directory of memory-backed files and arbitrates
-their lifecycle (create, seal, get, release, evict); clients map the
-files directly, so object bytes cross process boundaries without ever
-being copied through a socket.
+A small daemon owns one anonymous memfd segment per object and
+arbitrates their lifecycle (create, seal, get, release, evict); clients
+map the segments it hands them as descriptors, so object bytes cross
+process boundaries without ever being copied through a socket.  Dead
+segments are pooled within the store's free bytes, and no file is ever
+named, so a crashed daemon leaves nothing behind but its socket.
 """
 
 from hprm.store.client import (

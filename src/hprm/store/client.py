@@ -1,11 +1,12 @@
 """Client-side access to the object store.
 
 The client sends lifecycle requests over the control socket and maps the
-returned backing files with ``mmap``, so reads and writes of object
-bytes happen directly against shared memory.  The client keeps two
-counters, ``write_passes`` and ``bytes_written``, that tally every pass
-over payload bytes made through :meth:`WritableObject.write`; the
-zero-copy accounting checks in the benchmark suite are built on them.
+segment descriptor that a CREATE or GET reply carries, closing it once
+mapped, so reads and writes of object bytes happen directly against
+shared memory.  The client keeps two counters, ``write_passes`` and
+``bytes_written``, that tally every pass over payload bytes made through
+:meth:`WritableObject.write`; the zero-copy accounting checks in the
+benchmark suite are built on them.
 """
 
 from __future__ import annotations
@@ -80,16 +81,37 @@ class ObjectRef:
         return cls(bytes(oid), total, (ib_off, ib_len), tuple(spans))
 
 
-class WritableObject:
-    """A created-but-not-yet-sealed object mapped for writing."""
+class _Mapped:
+    """An object's segment, mapped; its descriptor is closed at once."""
 
-    def __init__(self, client: "StoreClient", oid: bytes, size: int, path: str):
+    _PROT = mmap.PROT_READ
+    _FLAGS = mmap.MAP_SHARED  # MAP_POPULATE measured slower for readers
+
+    def __init__(self, client: "StoreClient", oid: bytes, size: int, fd: int):
         self.client = client
         self.oid = oid
         self.size = size
-        self.path = path
-        self._file = open(path, "r+b")
-        self._mm = mmap.mmap(self._file.fileno(), size)
+        try:
+            self._mm = mmap.mmap(fd, size, flags=self._FLAGS, prot=self._PROT)
+        finally:
+            os.close(fd)
+
+    @property
+    def view(self) -> memoryview:
+        return memoryview(self._mm)
+
+    def _unmap(self) -> None:
+        try:
+            self._mm.close()
+        except BufferError:
+            pass  # outstanding views keep the mapping alive; GC reclaims it
+
+
+class WritableObject(_Mapped):
+    """A created-but-not-yet-sealed object mapped for writing."""
+
+    _PROT = mmap.PROT_READ | mmap.PROT_WRITE
+    _FLAGS = mmap.MAP_SHARED | mmap.MAP_POPULATE  # a writer fills every page
 
     def write(self, offset: int, data) -> int:
         """Copy ``data`` into the mapping; the one write pass per byte."""
@@ -100,19 +122,11 @@ class WritableObject:
         self.client.bytes_written += n
         return n
 
-    @property
-    def view(self) -> memoryview:
-        return memoryview(self._mm)
-
     def seal(self) -> None:
         self.client.seal(self.oid)
 
     def close(self) -> None:
-        try:
-            self._mm.close()
-        except BufferError:
-            pass  # outstanding views keep the mapping alive; GC reclaims it
-        self._file.close()
+        self._unmap()
 
     def __enter__(self) -> "WritableObject":
         return self
@@ -121,21 +135,10 @@ class WritableObject:
         self.close()
 
 
-class SealedObject:
+class SealedObject(_Mapped):
     """A pinned, immutable object mapped read-only."""
 
-    def __init__(self, client: "StoreClient", oid: bytes, size: int, path: str):
-        self.client = client
-        self.oid = oid
-        self.size = size
-        self.path = path
-        self._file = open(path, "rb")
-        self._mm = mmap.mmap(self._file.fileno(), size, prot=mmap.PROT_READ)
-        self._released = False
-
-    @property
-    def view(self) -> memoryview:
-        return memoryview(self._mm)
+    _released = False
 
     def release(self) -> None:
         """Drop the pin.  The mapping itself survives any live views."""
@@ -143,11 +146,7 @@ class SealedObject:
             return
         self._released = True
         self.client.release(self.oid)
-        try:
-            self._mm.close()
-        except BufferError:
-            pass  # views outlive the pin; memory frees when they drop
-        self._file.close()
+        self._unmap()
 
     def __enter__(self) -> "SealedObject":
         return self
@@ -183,50 +182,64 @@ class StoreClient:
         return b"".join(chunks)
 
     def _request(
-        self, op: int, oid: bytes, arg: int = 0, *, socket_timeout: float | None = None
-    ) -> tuple[Status, int, bytes]:
-        with self._lock:
-            self._sock.settimeout(socket_timeout)
-            self._sock.sendall(wire.encode_request(op, oid, arg))
-            prefix = self._recv_exact(wire.RESPONSE_PREFIX_BYTES)
-            status, value, blob_len = wire.decode_response_prefix(prefix)
-            blob = self._recv_exact(blob_len) if blob_len else b""
-            return Status(status), value, blob
+        self,
+        op: int,
+        oid: bytes,
+        arg: int = 0,
+        *,
+        socket_timeout: float | None = None,
+        maps: bool = False,
+    ) -> tuple[int, bytes, int]:
+        """Send one request and read its reply: (value, blob, fd).
+
+        A reply that is not OK raises.  With ``maps``, the reply's segment
+        descriptor is returned for the caller to map and close; any other
+        descriptor is closed here, and ``fd`` is -1."""
+        fds: list[int] = []
+        try:
+            with self._lock:
+                self._sock.settimeout(socket_timeout)
+                self._sock.sendall(wire.encode_request(op, oid, arg))
+                head, fds, _, _ = socket.recv_fds(
+                    self._sock, wire.RESPONSE_PREFIX_BYTES, 1
+                )
+                head += self._recv_exact(wire.RESPONSE_PREFIX_BYTES - len(head))
+                status, value, blob_len = wire.decode_response_prefix(head)
+                blob = self._recv_exact(blob_len) if blob_len else b""
+            if status != Status.OK:
+                error = StoreTimeout if status == Status.TIMEOUT else StoreError
+                detail = f"{wire.Op(op).name} {oid.hex()[:12]}, argument {arg}"
+                raise error(Status(status), detail)
+            if maps and not fds:
+                raise ConnectionError("store reply carried no descriptor")
+            return value, blob, fds.pop() if maps else -1
+        finally:
+            for stray in fds:
+                os.close(stray)
 
     def create(self, size: int, oid: bytes | None = None) -> WritableObject:
         oid = oid if oid is not None else random_object_id()
-        status, value, blob = self._request(wire.Op.CREATE, oid, size)
-        if status is not Status.OK:
-            raise StoreError(status, f"creating {size} bytes")
-        return WritableObject(self, oid, value, blob.decode())
+        value, _, fd = self._request(wire.Op.CREATE, oid, size, maps=True)
+        return WritableObject(self, oid, value, fd)
 
     def get(self, oid: bytes, timeout_ns: int | None = None) -> SealedObject:
         timeout_ns = (
             self.default_get_timeout_ns if timeout_ns is None else timeout_ns
         )
-        status, value, blob = self._request(
-            wire.Op.GET, oid, timeout_ns, socket_timeout=timeout_ns / 1e9 + 5.0
+        socket_timeout = timeout_ns / 1e9 + 5.0
+        value, _, fd = self._request(
+            wire.Op.GET, oid, timeout_ns, socket_timeout=socket_timeout, maps=True
         )
-        if status is Status.TIMEOUT:
-            raise StoreTimeout(status, f"object {oid.hex()[:12]} not sealed in time")
-        if status is not Status.OK:
-            raise StoreError(status)
-        return SealedObject(self, oid, value, blob.decode())
+        return SealedObject(self, oid, value, fd)
 
     def seal(self, oid: bytes) -> None:
-        status, _, _ = self._request(wire.Op.SEAL, oid)
-        if status is not Status.OK:
-            raise StoreError(status)
+        self._request(wire.Op.SEAL, oid)
 
     def release(self, oid: bytes) -> None:
-        status, _, _ = self._request(wire.Op.RELEASE, oid)
-        if status is not Status.OK:
-            raise StoreError(status)
+        self._request(wire.Op.RELEASE, oid)
 
     def stats(self) -> dict:
-        status, _, blob = self._request(wire.Op.STATS, bytes(ID_BYTES))
-        if status is not Status.OK:
-            raise StoreError(status)
+        _, blob, _ = self._request(wire.Op.STATS, bytes(ID_BYTES))
         return json.loads(blob.decode())
 
     def close(self) -> None:

@@ -1,19 +1,22 @@
 """The object-store daemon.
 
 One single-threaded event loop owns everything: the lifecycle state, the
-backing files, and the control socket.  Clients talk over a unix stream
-socket with the :mod:`hprm.store.wire` codec and map the backing files
-themselves; the daemon never touches object bytes.
+objects' memory, and the control socket.  Clients talk over a unix
+stream socket with the :mod:`hprm.store.wire` codec; the daemon never
+touches object bytes.
 
-Backing files live in a memory-backed directory (``/dev/shm`` by
-default).  Eviction renames the file into a small reuse pool (or unlinks
-it once the pool is full), which frees the name immediately but leaves
-existing mappings valid until they are unmapped.  Pins are what protect
-readers: only sealed objects with zero references are ever evicted, and
-a mapping kept past its release may observe recycled contents but never
-fault.  The pool exists because recycled files have warm pages -- a
-create that reuses one skips the kernel zero-fill of fresh shm pages,
-which at tens of megabytes is most of the write cost.
+Each object is an anonymous ``memfd`` segment whose descriptor rides on
+the CREATE or GET reply.  No file is named, so a daemon that dies, even
+by SIGKILL, leaves nothing behind but its socket path.  Dead objects'
+segments go into a reuse pool, oldest closed first, whose bytes never
+exceed the free bytes, so live plus pooled memory stays within capacity.
+A create takes the best-fitting pooled segment, shrunk to size: its
+pages are already faulted in, which skips the kernel's zero-fill.
+
+Pins protect readers: only sealed objects with zero references are ever
+evicted.  A mapping kept past its release stays valid and may observe
+recycled contents; it faults only past the end of a segment that a
+smaller object shrank.
 
 GET requests for objects that are unknown or not yet sealed are parked
 until the object is sealed or the request's deadline passes, so a reader
@@ -43,8 +46,6 @@ from hprm.store.state import Status, StoreState
 log = logging.getLogger(__name__)
 
 DEFAULT_CAPACITY = 1 << 30
-DEFAULT_GET_TIMEOUT_NS = 5_000_000_000
-_POOL_MAX_FILES = 4
 
 
 class _Conn:
@@ -75,12 +76,9 @@ class StoreDaemon:
         directory: str | Path | None = None,
         eviction_fraction: float = 0.2,
     ):
+        # ``directory`` is ignored (segments are anonymous); perfbench still passes it.
         self.socket_path = Path(socket_path)
         self.state = StoreState(capacity_bytes, eviction_fraction=eviction_fraction)
-        self.directory = Path(
-            directory if directory is not None else f"/dev/shm/hprm-store-{os.getpid()}"
-        )
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.socket_path.unlink(missing_ok=True)
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._listener.bind(str(self.socket_path))
@@ -91,78 +89,82 @@ class StoreDaemon:
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         self._conns: dict[socket.socket, _Conn] = {}
         self._parked: list[_Parked] = []
-        self._pool: list[tuple[int, Path]] = []
-        self._pool_seq = 0
+        self._segments: dict[bytes, tuple[int, int]] = {}  # oid -> (size, fd)
+        self._pool: list[tuple[int, int]] = []  # (size, fd), oldest first
         self._stopping = False
         self._thread: threading.Thread | None = None
 
-    # -- file handling ---------------------------------------------------
+    # -- segments ----------------------------------------------------------
 
-    def object_path(self, oid: bytes) -> Path:
-        return self.directory / (oid.hex() + ".obj")
+    def _segment(self, size: int) -> int:
+        """A descriptor of ``size`` bytes: the best-fitting pooled
+        segment, else a new memfd."""
+        fits = [entry for entry in self._pool if entry[0] >= size]
+        if fits:
+            _, fd = best = min(fits)
+            self._pool.remove(best)
+        else:
+            fd = os.memfd_create("hprm-object", os.MFD_CLOEXEC)
+        try:
+            os.ftruncate(fd, size)
+        except OSError:
+            os.close(fd)
+            raise
+        return fd
 
-    def _make_file(self, oid: bytes, size: int) -> Path:
-        path = self.object_path(oid)
-        # Best-fit reuse of a retired backing file: its pages are already
-        # faulted in, so a sustained same-sized workload skips the
-        # kernel's zero-fill of fresh shm pages on every write.
-        best = None
-        for i, (pool_size, _) in enumerate(self._pool):
-            if pool_size >= size and (best is None or pool_size < self._pool[best][0]):
-                best = i
-        if best is not None:
-            pool_size, pooled = self._pool.pop(best)
-            pooled.rename(path)
-            if pool_size != size:
-                with open(path, "r+b") as f:
-                    f.truncate(size)
-            return path
-        with open(path, "wb") as f:
-            f.truncate(size)
-        return path
+    def _retire(self, oids) -> None:
+        """Move dead objects' segments into the reuse pool.
 
-    def _retire_objects(self, oids) -> None:
-        """Move dead objects' backing files into the reuse pool.
-
-        Contents are not scrubbed; a recycled file may hand back stale
+        Contents are not scrubbed; a recycled segment may hand back stale
         bytes in regions the new creator never writes, which the span
-        layout never reads.  Overflow beyond the pool cap is unlinked."""
-        for oid in oids:
-            path = self.object_path(oid)
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            pooled = self.directory / f"pool-{self._pool_seq}.obj"
-            self._pool_seq += 1
-            try:
-                path.rename(pooled)
-            except OSError:
-                path.unlink(missing_ok=True)
-                continue
-            self._pool.append((size, pooled))
-        while len(self._pool) > _POOL_MAX_FILES:
-            _, stale = self._pool.pop(0)
-            stale.unlink(missing_ok=True)
+        layout never reads."""
+        self._pool.extend(self._segments.pop(oid) for oid in oids)
+
+    def _trim_pool(self) -> None:
+        pooled = sum(size for size, _ in self._pool)
+        while pooled > self.state.free_bytes:
+            size, fd = self._pool.pop(0)
+            pooled -= size
+            os.close(fd)
 
     # -- request handling --------------------------------------------------
 
-    def _respond(self, conn: _Conn, status: Status, value: int = 0, blob: bytes = b""):
+    def _respond(
+        self, conn: _Conn, status: Status, value: int = 0, blob: bytes = b"", fd: int = -1
+    ):
+        reply = wire.encode_response(status, value, blob)
         try:
-            conn.sock.sendall(wire.encode_response(status, value, blob))
+            if fd < 0:
+                conn.sock.sendall(reply)
+            else:
+                socket.send_fds(conn.sock, [reply], [fd])
         except OSError:
             self._drop_conn(conn)
+
+    def _grant(self, conn: _Conn, oid: bytes, size: int) -> None:
+        """Reply to a GET that pinned ``oid``."""
+        conn.refs[oid] = conn.refs.get(oid, 0) + 1
+        self._respond(conn, Status.OK, size, fd=self._segments[oid][1])
 
     def _handle_request(self, conn: _Conn, op: int, oid: bytes, arg: int) -> None:
         if op == wire.Op.CREATE:
             result = self.state.create(oid, arg)
-            self._retire_objects(result.evicted)
+            self._retire(result.evicted)
             if result.status is not Status.OK:
                 self._respond(conn, result.status)
                 return
-            path = self._make_file(oid, arg)
+            try:
+                fd = self._segment(arg)
+            except OSError as exc:
+                # Out of memory or descriptors: refuse it as a full store.
+                log.warning("no %d-byte segment: %s", arg, exc)
+                self.state.drop(oid)
+                self._respond(conn, Status.STORE_FULL)
+                return
+            self._segments[oid] = (arg, fd)
+            self._trim_pool()
             conn.creating.add(oid)
-            self._respond(conn, Status.OK, arg, str(path).encode())
+            self._respond(conn, Status.OK, arg, fd=fd)
         elif op == wire.Op.SEAL:
             status = self.state.seal(oid)
             if status is Status.OK:
@@ -172,10 +174,7 @@ class StoreDaemon:
         elif op == wire.Op.GET:
             status, size = self.state.get(oid)
             if status is Status.OK:
-                conn.refs[oid] = conn.refs.get(oid, 0) + 1
-                self._respond(
-                    conn, Status.OK, size, str(self.object_path(oid)).encode()
-                )
+                self._grant(conn, oid, size)
             else:
                 deadline = time.monotonic_ns() + arg
                 self._parked.append(_Parked(oid, conn, deadline))
@@ -202,10 +201,7 @@ class StoreDaemon:
                 continue
             status, size = self.state.get(oid)
             if status is Status.OK:
-                p.conn.refs[oid] = p.conn.refs.get(oid, 0) + 1
-                self._respond(
-                    p.conn, Status.OK, size, str(self.object_path(oid)).encode()
-                )
+                self._grant(p.conn, oid, size)
             else:
                 self._respond(p.conn, Status(status))
         # _respond may have dropped a connection (and pruned its parked
@@ -236,7 +232,7 @@ class StoreDaemon:
                 self.state.release(oid)
         for oid in conn.creating:
             if self.state.drop(oid) is Status.OK:
-                self._retire_objects([oid])
+                self._retire([oid])
         log.debug("dropped client; released %d pin group(s)", len(conn.refs))
 
     # -- the loop ------------------------------------------------------------
@@ -250,10 +246,9 @@ class StoreDaemon:
 
     def run(self) -> None:
         log.info(
-            "store daemon serving %s (capacity %d bytes, directory %s)",
+            "store daemon serving %s (capacity %d bytes)",
             self.socket_path,
             self.state.capacity_bytes,
-            self.directory,
         )
         try:
             while not self._stopping:
@@ -299,12 +294,8 @@ class StoreDaemon:
         self._wake_r.close()
         self._wake_w.close()
         self.socket_path.unlink(missing_ok=True)
-        for path in self.directory.glob("*.obj"):
-            path.unlink(missing_ok=True)
-        try:
-            self.directory.rmdir()
-        except OSError:
-            pass
+        for _, fd in [*self._segments.values(), *self._pool]:
+            os.close(fd)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -333,7 +324,6 @@ def main(argv=None) -> int:
     parser.add_argument("--socket", required=True, help="control socket path")
     parser.add_argument("--capacity-bytes", type=int, default=DEFAULT_CAPACITY)
     parser.add_argument("--eviction-fraction", type=float, default=0.2)
-    parser.add_argument("--directory", default=None, help="backing file directory")
     parser.add_argument("--log-level", default="INFO")
     args = parser.parse_args(argv)
     logging.basicConfig(
@@ -343,7 +333,6 @@ def main(argv=None) -> int:
     daemon = StoreDaemon(
         args.socket,
         args.capacity_bytes,
-        directory=args.directory,
         eviction_fraction=args.eviction_fraction,
     )
     signal.signal(signal.SIGTERM, lambda *_: daemon.request_stop())

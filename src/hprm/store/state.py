@@ -1,8 +1,8 @@
 """Object lifecycle bookkeeping, free of any I/O.
 
-The daemon layers sockets and files on top of this; keeping the rules
-here makes them unit-testable and lets property tests drive thousands of
-lifecycle interleavings without touching the filesystem.
+The daemon layers sockets and memory segments on top of this; keeping
+the rules here makes them unit-testable and lets property tests drive
+thousands of lifecycle interleavings without touching real memory.
 
 Lifecycle: an object is *created* (capacity reserved, writable),
 *sealed* (immutable, readable), then *pinned* by readers via get/release
@@ -15,7 +15,7 @@ per object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import IntEnum
 
 
@@ -41,9 +41,6 @@ class StoreCounters:
     releases: int = 0
     evictions: int = 0
     bytes_evicted: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -157,11 +154,6 @@ class StoreState:
         self._occupancy -= entry.size
         return Status.OK
 
-    def evictable_bytes(self) -> int:
-        return sum(
-            e.size for e in self._entries.values() if e.sealed and e.refcount == 0
-        )
-
     def evict(self, bytes_needed: int) -> tuple[int, tuple[bytes, ...]]:
         """Bulk-evict least-recently-used idle objects.
 
@@ -197,5 +189,5 @@ class StoreState:
             "capacity_bytes": self.capacity_bytes,
             "occupancy_bytes": self._occupancy,
             "objects": len(self._entries),
-            **self.counters.as_dict(),
+            **asdict(self.counters),
         }

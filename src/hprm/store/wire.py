@@ -4,8 +4,10 @@ Control traffic carries only metadata -- object bytes go through the
 shared mappings -- so the protocol is deliberately tiny.  Requests are
 fixed 29 bytes: op u8 | object id (20 bytes) | u64 argument.  Responses
 are a fixed 11-byte prefix (status u8 | u64 value | u16 blob length)
-followed by the blob.  The blob is the object's backing-file path for
-CREATE/GET and a JSON counters dump for STATS.  All integers little-endian.
+followed by the blob.  An OK reply to CREATE or GET has no blob; it
+carries the object's memfd segment as one ``SCM_RIGHTS`` descriptor,
+sent in the same ``sendmsg`` as the prefix.  The blob is a JSON counters
+dump for STATS.  All integers little-endian.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ class FrameType(IntEnum):
     TAGGED_MSG = 8   # inline payload
     OBJ_REF = 9      # payload resident in the object store
     PING = 10
+    OBJ_ACK = 11     # the reader pinned an OBJ_REF's object
 
 
 class TransportError(Exception):

@@ -2,19 +2,23 @@
 
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import hprm.federate
 from hprm.federate import (
     CENTRALIZED,
     DECENTRALIZED,
+    DeliveryError,
     Federate,
     FederateConfig,
     FederateError,
     RunSummary,
 )
 from hprm.rti import RtiServer
+from hprm.store import StoreClient
 from hprm.store.daemon import StoreDaemon
 from hprm.tags import Delay, Tag
 from hprm.topology import Connection, Topology
@@ -77,9 +81,7 @@ def schedule_ramp(fed, start, n, period_ns=MS, port="tick", offset_ns=0):
 @pytest.fixture
 def store():
     sock = tempfile.mktemp(prefix="hprm-fed-store-", suffix=".sock")
-    daemon = StoreDaemon(
-        sock, capacity_bytes=64 * 1024 * 1024, directory=tempfile.mkdtemp()
-    )
+    daemon = StoreDaemon(sock, capacity_bytes=64 * 1024 * 1024)
     daemon.start()
     yield daemon
     daemon.stop()
@@ -579,6 +581,117 @@ def test_small_payloads_skip_the_store(store):
     )
     assert got == [[1, 2, 3]]
     assert store.state.stats()["creates"] == 0
+
+
+def test_publisher_waits_for_a_slow_reader(tmp_path, monkeypatch):
+    """The reader pins each object 30 ms after its reference arrives; the
+    publisher creates one per millisecond into a store that holds 23.  It
+    keeps at most OBJ_WINDOW references unacknowledged, so no object is
+    evicted before its reader pins it."""
+
+    class SlowGets(StoreClient):
+        def get(self, oid, timeout_ns=None):
+            time.sleep(0.03)
+            return super().get(oid, timeout_ns)
+
+    monkeypatch.setattr(hprm.federate, "StoreClient", SlowGets)
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=24 * 2**20).start()
+    topo = pipeline("pub", "sub")
+    pub = Federate(FederateConfig(fid="pub", store_path=daemon.socket_path), topo)
+    sub = Federate(
+        FederateConfig(
+            fid="sub", store_path=daemon.socket_path, store_get_timeout_ns=500 * MS
+        ),
+        topo,
+    )
+    got = []
+    pub.on("tick", lambda ctx: ctx.publish("out", np.full(2**17, ctx.value)))
+    sub.on("in", lambda ctx: got.append(ctx.value[0]))
+    try:
+        results = run_federation(
+            topo, [pub, sub],
+            lambda f, s: schedule_ramp(f, s, 40) if f.fid == "pub" else None,
+        )
+        stats = daemon.state.stats()
+    finally:
+        daemon.stop()
+    assert isinstance(results["sub"], RunSummary), results["sub"]
+    assert got == [float(i) for i in range(40)]
+    assert stats["evictions"] >= 40 - 23 and stats["gets"] == 40
+
+
+def test_slow_subscriber_never_pins_more_than_half_the_store(tmp_path):
+    """Twelve 1 MiB payloads into a store that holds seven, published
+    faster than the subscriber runs: past half the store, queued payloads
+    are copied and unpinned, so the publisher's creates keep finding
+    room."""
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=8 * 2**20).start()
+    topo = pipeline("pub", "sub")
+    pub = Federate(FederateConfig(fid="pub", store_path=daemon.socket_path), topo)
+    sub = Federate(FederateConfig(fid="sub", store_path=daemon.socket_path), topo)
+    got, pins = [], []
+    pub.on("tick", lambda ctx: ctx.publish("out", np.full(2**17, ctx.value)))
+
+    def slow(ctx):
+        got.append(ctx.value[0])
+        pins.append(sum(1 for q in sub._queue if q.sealed))
+        time.sleep(0.1)
+
+    sub.on("in", slow)
+    try:
+        results = run_federation(
+            topo, [pub, sub],
+            lambda f, s: schedule_ramp(f, s, 12, period_ns=20 * MS)
+            if f.fid == "pub"
+            else None,
+        )
+        stats = daemon.state.stats()
+    finally:
+        daemon.stop()
+    assert isinstance(results["pub"], RunSummary), results["pub"]
+    assert got == [float(i) for i in range(12)]
+    assert 1 <= max(pins) <= 3  # 3 MiB of queued pins, then copies
+    assert stats["creates"] == 12 and stats["releases"] == stats["gets"] == 12
+
+
+@pytest.mark.parametrize("fault", ["timeout", "stopped"])
+def test_failed_store_get_is_a_delivery_error(store, fault):
+    """The subscriber cannot read a published object: its store never saw
+    it, or died.  run() reports the lost message in bounded time."""
+    sock = tempfile.mktemp(prefix="hprm-fed-store-", suffix=".sock")
+    other = StoreDaemon(sock, capacity_bytes=64 * 1024 * 1024).start()
+    timeout_ns = 200 * MS
+    topo = pipeline("pub", "sub")
+    pub = Federate(FederateConfig(fid="pub", store_path=store.socket_path), topo)
+    sub = Federate(
+        FederateConfig(
+            fid="sub", store_path=sock, store_get_timeout_ns=timeout_ns
+        ),
+        topo,
+    )
+    pub.on("tick", lambda ctx: ctx.publish("out", np.ones(100_000)))
+    sub.on("in", lambda ctx: None)
+
+    def setup(fed, start):
+        if fed.fid != "pub":
+            return
+        if fault == "stopped":
+            # pub has connected, so sub's reader and its store client exist
+            deadline = time.monotonic() + 5
+            while not sub._reader_stores and time.monotonic() < deadline:
+                time.sleep(0.005)
+            other.stop()
+        fed.schedule(Tag(start.time + MS, 0), "tick", 0)
+
+    t0 = time.monotonic()
+    try:
+        results = run_federation(topo, [pub, sub], setup)
+    finally:
+        other.stop()
+    assert time.monotonic() - t0 < timeout_ns / 1e9 + 5
+    assert isinstance(results["sub"], DeliveryError), results["sub"]
+    assert "'pub'" in str(results["sub"])
+    assert store.state.stats()["creates"] == 1
 
 
 def test_oversize_payload_without_store_is_a_delivery_error():

@@ -7,8 +7,14 @@ model (plain dict scans, no shared code) and demands identical statuses,
 occupancy, eviction choices, and surviving objects.
 """
 
+import os
+import random
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +33,9 @@ from hprm.store import (
 )
 from hprm.store.state import Status, StoreState
 from hprm.store import wire
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def oid_of(byte: int) -> bytes:
@@ -282,11 +291,7 @@ def test_object_ref_codec_round_trip():
 
 @pytest.fixture
 def store(tmp_path):
-    daemon = StoreDaemon(
-        tmp_path / "store.sock",
-        capacity_bytes=4 * 2**20,
-        directory=tmp_path / "objects",
-    )
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=4 * 2**20)
     daemon.start()
     yield daemon
     daemon.stop()
@@ -374,10 +379,8 @@ def test_duplicate_create_raises(store):
         obj.close()
 
 
-def test_eviction_unlinks_file_but_mappings_survive(tmp_path):
-    daemon = StoreDaemon(
-        tmp_path / "store.sock", capacity_bytes=1000, directory=tmp_path / "objects"
-    )
+def test_evicted_object_mapping_survives(tmp_path):
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=1000)
     daemon.start()
     try:
         with StoreClient(daemon.socket_path) as client:
@@ -385,14 +388,12 @@ def test_eviction_unlinks_file_but_mappings_survive(tmp_path):
             a.write(0, b"A" * 400)
             a.seal()
             a.close()
-            a_path = daemon.object_path(a.oid)
             sealed = client.get(a.oid)
             view = sealed.view
             sealed.release()  # pin dropped, mapping (and view) kept alive
             big = client.create(900)  # forces eviction of a
             big.close()
-            assert not a_path.exists()
-            assert bytes(view[:4]) == b"AAAA"  # unlinked, still mapped
+            assert bytes(view[:4]) == b"AAAA"  # evicted, still mapped
             with pytest.raises(StoreTimeout):
                 client.get(a.oid, timeout_ns=10_000_000)
     finally:
@@ -400,9 +401,7 @@ def test_eviction_unlinks_file_but_mappings_survive(tmp_path):
 
 
 def test_pinned_object_blocks_create_until_released(tmp_path):
-    daemon = StoreDaemon(
-        tmp_path / "store.sock", capacity_bytes=1000, directory=tmp_path / "objects"
-    )
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=1000)
     daemon.start()
     try:
         with StoreClient(daemon.socket_path) as client:
@@ -467,3 +466,111 @@ def test_payload_layout_written_with_one_pass_per_byte(store):
                 assert np.array_equal(rebuilt["data"], arr)
                 base = np.frombuffer(sealed.view, dtype=np.uint8)
                 assert np.shares_memory(rebuilt["data"], base)
+
+
+# -- segments handed out by descriptor -----------------------------------------
+
+
+@pytest.fixture
+def store_process(tmp_path):
+    """A daemon in its own process, so this process's descriptors are the
+    client's alone.  Yields (process, socket path)."""
+    sock = tmp_path / "store.sock"
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hprm.store.daemon", "--socket", str(sock),
+         "--capacity-bytes", str(2**20), "--log-level", "WARNING"],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    try:
+        deadline = time.monotonic() + 15
+        while True:
+            try:
+                with socket.socket(socket.AF_UNIX) as probe:
+                    probe.connect(str(sock))
+                break
+            except OSError:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+        yield proc, sock
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+
+
+def test_descriptors_are_closed_after_each_cycle(store_process):
+    _, sock = store_process
+    with StoreClient(sock) as writer, StoreClient(sock) as reader:
+        start = len(os.listdir("/proc/self/fd"))
+        for i in range(200):
+            obj = writer.create(4096 + 64 * i)  # mixed sizes, evicting late on
+            obj.write(0, bytes([i]) * 16)
+            obj.seal()
+            obj.close()
+            with reader.get(obj.oid) as sealed:
+                assert sealed.view[:16].tobytes() == bytes([i]) * 16
+        with pytest.raises(StoreError):
+            writer.create(64, oid=obj.oid)
+        with pytest.raises(StoreTimeout):
+            reader.get(random_object_id(), timeout_ns=1_000_000)
+        assert len(os.listdir("/proc/self/fd")) == start
+
+
+def test_killed_daemon_leaves_only_its_socket(tmp_path, store_process):
+    proc, sock = store_process
+    with StoreClient(sock) as client:
+        obj = client.create(65536)
+        obj.write(0, b"x" * 65536)
+        obj.seal()
+        obj.close()
+        pinned = client.get(obj.oid)
+        proc.kill()
+        proc.wait(timeout=10)
+        assert pinned.view[:1].tobytes() == b"x"  # the mapping outlives the daemon
+        del pinned
+    assert [p.name for p in tmp_path.iterdir()] == ["store.sock"]
+    assert list(Path("/dev/shm").glob(f"*{proc.pid}*")) == []
+
+
+def test_pooled_and_live_bytes_stay_within_capacity(tmp_path):
+    capacity = 64 * 1024
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=capacity)
+    daemon.start()
+    rng = random.Random(7)
+    pins = []
+    try:
+        with StoreClient(daemon.socket_path) as client:
+            for _ in range(300):
+                obj = client.create(rng.randint(1, 12_000))
+                obj.seal()
+                obj.close()
+                if rng.random() < 0.2:
+                    pins.append(client.get(obj.oid))
+                if len(pins) > 2:
+                    pins.pop(0).release()
+                pooled = sum(size for size, _ in daemon._pool)
+                assert pooled + daemon.state.occupancy <= capacity
+        assert daemon.state.counters.evictions > 100
+    finally:
+        daemon.stop()
+
+
+def test_create_after_eviction_reuses_the_pooled_segment(tmp_path):
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=1000)
+    daemon.start()
+    try:
+        with StoreClient(daemon.socket_path) as client:
+            full = []
+            for _ in range(5):
+                obj = client.create(200)
+                obj.seal()
+                obj.close()
+                full.append(obj.oid)
+            oldest = os.fstat(daemon._segments[full[0]][1]).st_ino
+            obj = client.create(200)  # evicts the oldest, a fifth of capacity
+            obj.close()
+            assert full[0] not in daemon.state
+            assert os.fstat(daemon._segments[obj.oid][1]).st_ino == oldest
+            assert daemon._pool == []
+    finally:
+        daemon.stop()
