@@ -12,7 +12,7 @@ Subpackages and modules:
 * :mod:`hprm.bench` -- benchmark scenarios and the ``hprm-bench`` CLI.
 """
 
-from hprm.tags import FOREVER, NEVER, NO_DELAY, Delay, Tag, compare_tags, delay_tag
+from hprm.tags import FOREVER, NEVER, NO_DELAY, Delay, Tag, delay_tag
 
 __all__ = [
     "Tag",
@@ -20,7 +20,6 @@ __all__ = [
     "NEVER",
     "FOREVER",
     "NO_DELAY",
-    "compare_tags",
     "delay_tag",
 ]
 

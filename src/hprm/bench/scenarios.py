@@ -30,7 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from hprm.bench.report import LatencyRecord
-from hprm.serde import measure_throughput, serialize, encode_payload, build_layout
+from hprm.serde import (
+    DEFAULT_OOB_FLOOR,
+    SerializationError,
+    build_layout,
+    deserialize,
+    encode_payload,
+    serialize,
+)
 from hprm.store import StoreClient
 from hprm.tags import Delay
 from hprm.topology import Connection, Topology
@@ -478,6 +485,55 @@ def run_ordering(cfg: BenchConfig) -> ScenarioResult:
 
 
 # -- serde throughput ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ThroughputSample:
+    mode: str
+    size_bytes: int
+    serialize_ns: tuple[int, ...]
+    deserialize_ns: tuple[int, ...]
+
+    @property
+    def serialize_mbps(self) -> float:
+        return self.size_bytes / MB / (statistics.median(self.serialize_ns) / 1e9)
+
+    @property
+    def deserialize_mbps(self) -> float:
+        return self.size_bytes / MB / (statistics.median(self.deserialize_ns) / 1e9)
+
+
+def measure_throughput(
+    size_bytes: int, mode: str, iterations: int = 20, warmup: int = 3
+) -> ThroughputSample:
+    """Time serialize/deserialize of an array-carrying value.
+
+    ``mode`` selects the pipeline being modeled: ``"in-band"`` forces the
+    array through the in-band stream and copies it back out, which is what
+    a socket transfer of a self-contained byte string costs.
+    ``"out-of-band"`` keeps the array as a borrowed segment and rebuilds a
+    view, which is what the shared-memory path costs.
+    """
+    if mode not in ("in-band", "out-of-band"):
+        raise ValueError(f"unknown throughput mode {mode!r}")
+    floor = None if mode == "in-band" else DEFAULT_OOB_FLOOR
+    zero_copy = mode == "out-of-band"
+    elements = max(1, size_bytes // 8)
+    value = {"seq": 0, "data": np.arange(elements, dtype=np.float64)}
+    ser_ns: list[int] = []
+    deser_ns: list[int] = []
+    for i in range(warmup + iterations):
+        t0 = time.perf_counter_ns()
+        payload = serialize(value, oob_floor=floor)
+        t1 = time.perf_counter_ns()
+        rebuilt = deserialize(payload, zero_copy=zero_copy)
+        t2 = time.perf_counter_ns()
+        if rebuilt["seq"] != 0:
+            raise SerializationError("throughput round-trip corrupted the value")
+        if i >= warmup:
+            ser_ns.append(t1 - t0)
+            deser_ns.append(t2 - t1)
+    return ThroughputSample(mode, elements * 8, tuple(ser_ns), tuple(deser_ns))
 
 
 def run_serde(cfg: BenchConfig) -> ScenarioResult:

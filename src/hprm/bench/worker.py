@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hprm.bench.delayline import DelayListener
 from hprm.clock import MonotonicClock
 from hprm.federate import Federate, FederateConfig, RunSummary
 from hprm.tags import Tag
@@ -45,10 +46,15 @@ def _build_federate(cfg: dict) -> Federate:
         stp_offset_ns=cfg.get("stp_offset_ns", 0),
         inline_threshold=cfg.get("inline_threshold", 65536 - 22),
         connection=options,
-        inject_recv_jitter_ns=cfg.get("inject_recv_jitter_ns", 0),
-        jitter_seed=cfg.get("jitter_seed", 0),
     )
-    return Federate(fed_cfg, topo)
+    listener = None
+    if cfg.get("inject_recv_jitter_ns"):
+        listener = DelayListener(
+            FrameListener(fed_cfg.listen_host, 0, options),
+            cfg["inject_recv_jitter_ns"],
+            cfg.get("jitter_seed", 0),
+        )
+    return Federate(fed_cfg, topo, listener=listener)
 
 
 def _payload_array(size_bytes: int) -> np.ndarray:

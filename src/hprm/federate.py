@@ -32,6 +32,13 @@ Announcements double as promises: a federate reports the minimum of its
 queue head and its arrival floor (and, while mid-tag, the earliest tag a
 reaction could still schedule), which keeps every report monotone even
 though arrivals can land ahead of the queue head.
+
+The runtime reads physical time only from its ``clock`` and takes
+inbound connections only from its ``listener``; both are constructor
+seams.  Tests drive the gates with a manual clock, and the benchmark
+models network latency with a listener whose connections hold frames
+back (:mod:`hprm.bench.delayline`), so the runtime itself carries no
+test instrumentation.
 """
 
 from __future__ import annotations
@@ -40,10 +47,7 @@ import heapq
 import json
 import logging
 import os
-import random
 import threading
-import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -89,7 +93,8 @@ def _elevate_io_thread() -> None:
     process was given a real-time class, delivery threads taking one
     priority step more means that after any scheduling stall the pending
     arrivals become visible before the executor evaluates a gate on
-    their absence.  A no-op everywhere else."""
+    their absence.  A no-op everywhere else; kept because the
+    ``hprm.bench`` workers run under ``SCHED_FIFO``."""
     try:
         policy = os.sched_getscheduler(0)
         if policy in (os.SCHED_FIFO, os.SCHED_RR):
@@ -139,35 +144,20 @@ class FederateConfig:
     store_path: str | None = None
     listen_host: str = "127.0.0.1"
     stp_offset_ns: int = 0
-    has_physical_actions: bool = False
     inline_threshold: int = DEFAULT_INLINE_THRESHOLD
     connection: ConnectionOptions = field(default_factory=ConnectionOptions)
     connect_retry_s: float = 10.0
     store_get_timeout_ns: int = 10_000_000_000
-    # Test/benchmark instrumentation: hold every inbound data-connection
-    # frame until (send time + U[0, inject_recv_jitter_ns]), FIFO per
-    # connection, approximating the send time by the frame's tag when
-    # that is in the past (a clock-gated source publishes at its tag's
-    # time).  Anchoring at the sender keeps the modeled wire latency
-    # independent of scheduling stalls on the receiving host.
-    inject_recv_jitter_ns: int = 0
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in (CENTRALIZED, DECENTRALIZED):
             raise ValueError(f"unknown coordination mode {self.mode!r}")
-        if self.has_physical_actions and self.stp_offset_ns < 0:
-            raise ValueError(
-                "physical actions require a non-negative safe-to-process offset"
-            )
         if self.inline_threshold + 22 > self.connection.eager_buffer_bytes:
             raise ValueError("inline threshold exceeds the eager buffer contract")
 
     @classmethod
     def from_env(cls, fid: str, environ=None, **overrides) -> "FederateConfig":
         """Build a config from HPRM_* environment variables."""
-        import os
-
         env = os.environ if environ is None else environ
         if "rti_address" not in overrides and env.get("HPRM_RTI_ADDR"):
             host, _, port = env["HPRM_RTI_ADDR"].rpartition(":")
@@ -200,8 +190,8 @@ class ReactionContext:
     def publish(self, port: str, value) -> int:
         return self.federate.publish(port, value)
 
-    def schedule(self, tag: Tag, port: str, value=None) -> int:
-        return self.federate.schedule(tag, port, value)
+    def schedule(self, tag: Tag, port: str, value=None) -> None:
+        self.federate.schedule(tag, port, value)
 
 
 @dataclass
@@ -239,12 +229,14 @@ class Federate:
         topology: Topology,
         *,
         clock: Clock | None = None,
+        listener: FrameListener | None = None,
     ):
         if config.fid not in topology.federates:
             raise ValueError(f"{config.fid!r} is not in the topology")
         self.config = config
         self.topology = topology
         self.clock = clock or MonotonicClock()
+        self._listener = listener  # None: start() binds a FrameListener
         self.fid = config.fid
         self._in_edges = [
             c for c in topology.inputs_of(self.fid) if c.src != self.fid
@@ -279,17 +271,8 @@ class Federate:
         self.messages_sent = 0
         self.messages_received = 0
 
-        self._delay_heap: list = []
-        self._delay_cond = threading.Condition()
-        self._delay_seq = 0
-        # Earliest release time among undispatched delayed frames; read
-        # lock-free by the run loop so the gate never outruns a frame
-        # whose injected arrival time has already passed.
-        self._delay_head_release: int | None = None
-
         self._reactions: dict[str, list[Reaction]] = {}
         self._rti: FrameConnection | None = None
-        self._listener: FrameListener | None = None
         self._peers_out: dict[str, FrameConnection] = {}
         self._peers_in: list[FrameConnection] = []
         self._threads: list[threading.Thread] = []
@@ -323,8 +306,8 @@ class Federate:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, tag: Tag, port: str, value=None) -> int:
-        """Queue a local event; returns its position in the queue."""
+    def schedule(self, tag: Tag, port: str, value=None) -> None:
+        """Queue a local event."""
         if not tag.is_finite():
             raise ValueError(f"cannot schedule at {tag!r}")
         with self._lock:
@@ -346,17 +329,15 @@ class Federate:
                 raise ValueError(
                     f"tag {tag!r} is below the announced promise {self._announced!r}"
                 )
-            return self._push(_Queued(tag, self._next_seq(), port, value=value))
+            self._push(_Queued(tag, self._next_seq(), port, value=value))
 
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
 
-    def _push(self, item: _Queued) -> int:
-        position = sum(1 for q in self._queue if q < item)
+    def _push(self, item: _Queued) -> None:
         heapq.heappush(self._queue, item)
         self._cond.notify_all()
-        return position
 
     # -- publishing ----------------------------------------------------------
 
@@ -459,7 +440,9 @@ class Federate:
         if self.config.rti_address is None:
             raise FederateError("no coordination daemon address configured")
         opts = self.config.connection
-        self._listener = FrameListener(self.config.listen_host, 0, opts)
+        self._listener = self._listener or FrameListener(
+            self.config.listen_host, 0, opts
+        )
         if self.config.store_path:
             self._store = StoreClient(self.config.store_path)
             self._pin_budget = self._store.stats()["capacity_bytes"] // 2
@@ -491,8 +474,6 @@ class Federate:
             self._peers_out[dst] = conn
         self._spawn(self._accept_loop, "accept")
         self._spawn(self._rti_reader, "rti-reader")
-        if self.config.inject_recv_jitter_ns:
-            self._spawn(self._delay_releaser, "jitter")
         self._started = True
         return self.start_tag
 
@@ -544,12 +525,6 @@ class Federate:
 
     def _peer_reader(self, conn: FrameConnection, src: str) -> None:
         _elevate_io_thread()
-        jitter = self.config.inject_recv_jitter_ns
-        rng = None
-        if jitter:
-            rng = random.Random(
-                (self.config.jitter_seed << 32) ^ zlib.crc32(src.encode())
-            )
         store = StoreClient(self.config.store_path) if self.config.store_path else None
         if store is not None:
             # The executor releases pins through this client long after
@@ -557,38 +532,12 @@ class Federate:
             # dropping it early would let the daemon recycle segments
             # that queued payloads still map.
             self._reader_stores.append(store)
-        last_release = 0
         try:
-            while True:
-                frame = conn.recv_frame()
-                if frame is None:
-                    break
-                if rng is None:
-                    self._dispatch_peer_frame(conn, src, store, frame)
-                    continue
-                # Injected latency overlaps across frames (it models the
-                # wire, not processing time), but stays FIFO per connection.
-                # Anchor at the sender's logical time when that is in the
-                # past (a clock-gated source publishes at its tag's time),
-                # falling back to the arrival clock: then a stall on the
-                # receiving side delays the stamping itself without also
-                # inflating the modeled wire latency.
-                now = time.monotonic_ns()
-                due = min(now, frame.tag.time) + int(rng.uniform(0, jitter))
-                last_release = max(last_release, due)
-                with self._delay_cond:
-                    self._delay_seq += 1
-                    heapq.heappush(
-                        self._delay_heap,
-                        (last_release, self._delay_seq, conn, src, store, frame),
-                    )
-                    self._delay_head_release = self._delay_heap[0][0]
-                    self._delay_cond.notify()
+            while (frame := conn.recv_frame()) is not None:
+                self._dispatch_peer_frame(conn, src, store, frame)
         except (TransportError, OSError, ValueError) as exc:
             log.warning("%s: inbound connection from %s failed: %s", self.fid, src, exc)
         finally:
-            if rng is not None:
-                self._drain_delayed(conn)
             with self._lock:
                 # Fail-stop: a vanished upstream sends nothing further.
                 self._watermarks[src] = FOREVER
@@ -647,47 +596,6 @@ class Federate:
             self._arrive(frame, src, payload, sealed)
         elif frame.type == FrameType.PING:
             conn.send_frame(frame)
-
-    def _delay_releaser(self) -> None:
-        """Dispatches jitter-delayed frames once their release time passes."""
-        _elevate_io_thread()
-        while True:
-            with self._delay_cond:
-                while not self._delay_heap:
-                    if self._finished:
-                        return
-                    self._delay_cond.wait(0.05)
-                due = self._delay_heap[0][0]
-                now = time.monotonic_ns()
-                if now < due:
-                    self._delay_cond.wait((due - now) / 1e9)
-                    continue
-                _, _, conn, src, store, frame = heapq.heappop(self._delay_heap)
-                self._delay_head_release = (
-                    self._delay_heap[0][0] if self._delay_heap else None
-                )
-            try:
-                self._dispatch_peer_frame(conn, src, store, frame)
-            except (TransportError, OSError, ValueError) as exc:
-                log.warning("%s: delayed dispatch failed: %s", self.fid, exc)
-
-    def _drain_delayed(self, conn: FrameConnection) -> None:
-        """The connection closed; release its frames immediately so no
-        arrival is silently lost."""
-        with self._delay_cond:
-            keep, mine = [], []
-            for entry in self._delay_heap:
-                (mine if entry[2] is conn else keep).append(entry)
-            self._delay_heap[:] = keep
-            heapq.heapify(self._delay_heap)
-            self._delay_head_release = (
-                self._delay_heap[0][0] if self._delay_heap else None
-            )
-        for _, _, c, src, store, frame in sorted(mine, key=lambda e: e[:2]):
-            try:
-                self._dispatch_peer_frame(c, src, store, frame)
-            except (TransportError, OSError, ValueError):
-                pass
 
     def _arrive(self, frame: Frame, src: str, payload, sealed) -> None:
         fed, port = self.topology.port_name(frame.port)
@@ -760,14 +668,6 @@ class Federate:
         """None when the head may run now, else a wait hint in ns.
 
         0 means "blocked on something another thread will signal"."""
-        pending = self._delay_head_release
-        if pending is not None and pending <= time.monotonic_ns():
-            # A delayed frame's modeled arrival time has passed but its
-            # dispatch hasn't landed yet (the releaser lost a scheduling
-            # race).  It may carry a tag at or below the head; advancing
-            # now would turn a stall of our own threads into a spurious
-            # ordering error, so give the dispatch a beat instead.
-            return 500_000
         if self.config.mode == CENTRALIZED:
             if self._granted < head.tag:
                 return 0
@@ -836,12 +736,12 @@ class Federate:
                                 # A decentralized cycle has no promise
                                 # cascade; fall back to a generous clock
                                 # bound in the spirit of the mode.
-                                now_wall = time.monotonic_ns()
+                                now = self.clock.now_ns()
                                 if self._drain_deadline_ns is None:
-                                    self._drain_deadline_ns = now_wall + max(
+                                    self._drain_deadline_ns = now + max(
                                         2 * self.config.stp_offset_ns, 2_000_000_000
                                     )
-                                if now_wall >= self._drain_deadline_ns:
+                                if now >= self._drain_deadline_ns:
                                     log.warning(
                                         "%s: halting on the drain deadline with "
                                         "the arrival floor below the stop tag",
@@ -850,7 +750,7 @@ class Federate:
                                     work = ("stop", None)
                                     break
                                 self._cond.wait(
-                                    min(0.25, (self._drain_deadline_ns - now_wall) / 1e9)
+                                    min(0.25, (self._drain_deadline_ns - now) / 1e9)
                                 )
                             else:
                                 self._cond.wait()

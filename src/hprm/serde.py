@@ -22,7 +22,6 @@ choice when the backing buffer is about to be reused.
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
@@ -64,12 +63,6 @@ class PayloadFormatError(SerializationError, ValueError):
     pass
 
 
-class Strategy(enum.Enum):
-    IN_BAND = "in-band"
-    OUT_OF_BAND = "out-of-band"
-    RECURSIVE = "recursive"
-
-
 @dataclass(frozen=True)
 class SerializedPayload:
     """The two-part wire form of a value.
@@ -92,45 +85,6 @@ class SerializedPayload:
         """Size of the single-buffer encoding (:func:`encode_payload`)."""
         seg_lens = self.segment_lengths
         return 1 + 4 + len(self.inband) + 2 + 8 * len(seg_lens) + sum(seg_lens)
-
-
-def _is_buffer_leaf(value: Any) -> bool:
-    return isinstance(value, (bytes, bytearray, memoryview, np.ndarray))
-
-
-def _buffer_nbytes(value: Any) -> int:
-    if isinstance(value, np.ndarray):
-        return value.nbytes
-    return len(memoryview(value).cast("B"))
-
-
-def _contains_large_leaf(value: Any, floor: int) -> bool:
-    if _is_buffer_leaf(value):
-        return _buffer_nbytes(value) >= floor
-    if isinstance(value, (list, tuple)):
-        return any(_contains_large_leaf(v, floor) for v in value)
-    if isinstance(value, dict):
-        return any(_contains_large_leaf(v, floor) for v in value.values())
-    return False
-
-
-def classify(value: Any, *, oob_floor: int = DEFAULT_OOB_FLOOR) -> Strategy:
-    """Decide how a value should travel.
-
-    Buffer leaves at or above ``oob_floor`` bytes go out-of-band.
-    Containers holding such a leaf anywhere are serialized recursively
-    (structure in-band, big leaves as segments).  Everything else is
-    purely in-band.
-    """
-    if _is_buffer_leaf(value):
-        if _buffer_nbytes(value) >= oob_floor:
-            return Strategy.OUT_OF_BAND
-        return Strategy.IN_BAND
-    if isinstance(value, (list, tuple, dict)):
-        if _contains_large_leaf(value, oob_floor):
-            return Strategy.RECURSIVE
-        return Strategy.IN_BAND
-    return Strategy.IN_BAND
 
 
 def _encode_int(out: bytearray, x: int) -> None:
@@ -447,65 +401,3 @@ def payload_from_spans(
             raise PayloadFormatError("segment span exceeds buffer")
         segments.append(seg)
     return SerializedPayload(version, inband, tuple(segments))
-
-
-# -- throughput measurement ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThroughputSample:
-    mode: str
-    size_bytes: int
-    serialize_ns: tuple[int, ...]
-    deserialize_ns: tuple[int, ...]
-
-    @staticmethod
-    def _median(values: tuple[int, ...]) -> float:
-        ordered = sorted(values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return float(ordered[mid])
-        return (ordered[mid - 1] + ordered[mid]) / 2
-
-    @property
-    def serialize_mbps(self) -> float:
-        return self.size_bytes / (2**20) / (self._median(self.serialize_ns) / 1e9)
-
-    @property
-    def deserialize_mbps(self) -> float:
-        return self.size_bytes / (2**20) / (self._median(self.deserialize_ns) / 1e9)
-
-
-def measure_throughput(
-    size_bytes: int, mode: str, iterations: int = 20, warmup: int = 3
-) -> ThroughputSample:
-    """Time serialize/deserialize of an array-carrying value.
-
-    ``mode`` selects the pipeline being modeled: ``"in-band"`` forces the
-    array through the in-band stream and copies it back out, which is what
-    a socket transfer of a self-contained byte string costs.
-    ``"out-of-band"`` keeps the array as a borrowed segment and rebuilds a
-    view, which is what the shared-memory path costs.
-    """
-    import time
-
-    if mode not in ("in-band", "out-of-band"):
-        raise ValueError(f"unknown throughput mode {mode!r}")
-    floor = None if mode == "in-band" else DEFAULT_OOB_FLOOR
-    zero_copy = mode == "out-of-band"
-    elements = max(1, size_bytes // 8)
-    value = {"seq": 0, "data": np.arange(elements, dtype=np.float64)}
-    ser_ns: list[int] = []
-    deser_ns: list[int] = []
-    for i in range(warmup + iterations):
-        t0 = time.perf_counter_ns()
-        payload = serialize(value, oob_floor=floor)
-        t1 = time.perf_counter_ns()
-        rebuilt = deserialize(payload, zero_copy=zero_copy)
-        t2 = time.perf_counter_ns()
-        if rebuilt["seq"] != 0:
-            raise SerializationError("throughput round-trip corrupted the value")
-        if i >= warmup:
-            ser_ns.append(t1 - t0)
-            deser_ns.append(t2 - t1)
-    return ThroughputSample(mode, elements * 8, tuple(ser_ns), tuple(deser_ns))

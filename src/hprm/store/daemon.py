@@ -10,13 +10,14 @@ the CREATE or GET reply.  No file is named, so a daemon that dies, even
 by SIGKILL, leaves nothing behind but its socket path.  Dead objects'
 segments go into a reuse pool, oldest closed first, whose bytes never
 exceed the free bytes, so live plus pooled memory stays within capacity.
-A create takes the best-fitting pooled segment, shrunk to size: its
-pages are already faulted in, which skips the kernel's zero-fill.
+A create takes a pooled segment of the same page count, if there is
+one: its pages are already faulted in, which skips the kernel's
+zero-fill.
 
 Pins protect readers: only sealed objects with zero references are ever
 evicted.  A mapping kept past its release stays valid and may observe
-recycled contents; it faults only past the end of a segment that a
-smaller object shrank.
+recycled contents.  It never faults: a recycled segment keeps its page
+count, so every page a mapping covers stays inside the segment.
 
 GET requests for objects that are unknown or not yet sealed are parked
 until the object is sealed or the request's deadline passes, so a reader
@@ -46,6 +47,7 @@ from hprm.store.state import Status, StoreState
 log = logging.getLogger(__name__)
 
 DEFAULT_CAPACITY = 1 << 30
+_PAGE = os.sysconf("SC_PAGE_SIZE")
 
 
 class _Conn:
@@ -97,12 +99,15 @@ class StoreDaemon:
     # -- segments ----------------------------------------------------------
 
     def _segment(self, size: int) -> int:
-        """A descriptor of ``size`` bytes: the best-fitting pooled
-        segment, else a new memfd."""
-        fits = [entry for entry in self._pool if entry[0] >= size]
-        if fits:
-            _, fd = best = min(fits)
-            self._pool.remove(best)
+        """A descriptor of ``size`` bytes: the oldest pooled segment of
+        the same page count, else a new memfd.  Shrinking a larger one
+        would make a mapping kept past its release fault (SIGBUS) on the
+        pages cut off."""
+        pages = -(-size // _PAGE)
+        match = next((e for e in self._pool if -(-e[0] // _PAGE) == pages), None)
+        if match is not None:
+            self._pool.remove(match)
+            fd = match[1]
         else:
             fd = os.memfd_create("hprm-object", os.MFD_CLOEXEC)
         try:

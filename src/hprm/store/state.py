@@ -83,7 +83,10 @@ class StoreState:
         return oid in self._entries
 
     def describe(self, oid: bytes) -> tuple[int, bool, int] | None:
-        """(size, sealed, refcount) snapshot, or None if absent."""
+        """(size, sealed, refcount) snapshot, or None if absent.
+
+        The runtime never calls it; the lifecycle model checks its
+        reference state against this."""
         entry = self._entries.get(oid)
         if entry is None:
             return None

@@ -94,15 +94,6 @@ class Delay:
 NO_DELAY = Delay(0)
 
 
-def compare_tags(a: Tag, b: Tag) -> int:
-    """Three-way comparison: -1 if ``a < b``, 0 if equal, 1 if ``a > b``."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 def delay_tag(tag: Tag, delay: Delay) -> Tag:
     """Apply a logical delay to a finite tag.
 

@@ -25,7 +25,7 @@ from hprm.bench.scenarios import (
     run_ordering,
     run_ping,
 )
-from hprm.serde import measure_throughput
+from hprm.bench.scenarios import measure_throughput
 
 MB = 1 << 20
 REPO = Path(__file__).resolve().parent.parent

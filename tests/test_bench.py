@@ -8,8 +8,10 @@ run the real orchestrator -- daemons plus worker subprocesses -- at the
 smallest sizes that still exercise the store path.
 """
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -244,3 +246,28 @@ def test_write_delay_returns_positive_samples():
     store_ns, baseline_ns = measure_write_delay(1 << 20, iterations=5, warmup=1)
     assert len(store_ns) == len(baseline_ns) == 5
     assert all(v > 0 for v in store_ns + baseline_ns)
+
+
+# -- layering -------------------------------------------------------------------
+
+
+def test_runtime_never_imports_the_bench():
+    """Instrumentation stays out of the runtime: only ``hprm.bench`` itself
+    may import ``hprm.bench``."""
+    src = Path(__file__).resolve().parent.parent / "src" / "hprm"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if (src / "bench") in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                if node.module == "hprm":
+                    names += [f"hprm.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n == "hprm.bench" or n.startswith("hprm.bench.") for n in names):
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert offenders == []

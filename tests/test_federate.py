@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import hprm.federate
+from hprm.bench.delayline import DelayListener
+from hprm.clock import ManualClock
 from hprm.federate import (
     CENTRALIZED,
     DECENTRALIZED,
@@ -22,6 +24,7 @@ from hprm.store import StoreClient
 from hprm.store.daemon import StoreDaemon
 from hprm.tags import Delay, Tag
 from hprm.topology import Connection, Topology
+from hprm.transport import FrameListener
 
 MS = 1_000_000
 
@@ -95,13 +98,6 @@ def test_config_rejects_unknown_mode():
         FederateConfig(fid="f", mode="anarchic")
 
 
-def test_config_physical_actions_need_nonnegative_offset():
-    with pytest.raises(ValueError):
-        FederateConfig(fid="f", mode=DECENTRALIZED, has_physical_actions=True,
-                       stp_offset_ns=-1)
-    FederateConfig(fid="f", mode=DECENTRALIZED, stp_offset_ns=-1)  # fine alone
-
-
 def test_config_inline_threshold_must_fit_eager_buffer():
     with pytest.raises(ValueError):
         FederateConfig(fid="f", inline_threshold=2**20)
@@ -140,8 +136,9 @@ def test_schedule_rejects_sentinels_and_regression():
     fed._current = Tag(100, 0)
     with pytest.raises(ValueError):
         fed.schedule(Tag(100, 0), "tick")
-    assert fed.schedule(Tag(101, 0), "tick") == 0
-    assert fed.schedule(Tag(100, 1), "tick") == 0  # slots in ahead
+    fed.schedule(Tag(101, 0), "tick")
+    fed.schedule(Tag(100, 1), "tick")
+    assert fed._queue[0].tag == Tag(100, 1)  # slots in ahead
 
 
 def test_schedule_rejects_tags_below_announced_promise():
@@ -158,6 +155,44 @@ def test_publish_outside_reaction_is_rejected():
     fed = Federate(FederateConfig(fid="a"), topo)
     with pytest.raises(FederateError):
         fed.publish("out", 1)
+
+
+def test_gate_wait_follows_a_manual_clock():
+    """Both gates, evaluated against a clock that only moves when told."""
+    topo = pipeline("a", "b")
+    head = hprm.federate._Queued(Tag(100 * MS, 0), 1, "in")
+    clock = ManualClock(90 * MS)
+
+    def gate(fed):
+        return fed._gate_wait_ns(head, clock.now_ns())
+
+    central = Federate(FederateConfig(fid="b"), topo, clock=clock)
+    central._watermarks["a"] = Tag(100 * MS, 0)
+    assert gate(central) == 0  # no grant yet
+    central._granted = head.tag
+    central._watermarks["a"] = Tag(99 * MS, 0)
+    assert gate(central) == 0  # the floor, (99 ms, 1), is below the head
+    central._watermarks["a"] = head.tag
+    assert gate(central) == 10 * MS  # floor (100 ms, 1) is past it: wait for time
+    clock.set(100 * MS)
+    assert gate(central) is None
+
+    clock = ManualClock(90 * MS)
+    downstream = Federate(
+        FederateConfig(fid="b", mode=DECENTRALIZED, stp_offset_ns=5 * MS),
+        topo, clock=clock,
+    )
+    source = Federate(
+        FederateConfig(fid="a", mode=DECENTRALIZED, stp_offset_ns=5 * MS),
+        topo, clock=clock,
+    )
+    assert gate(downstream) == 15 * MS  # h.time + margin - now
+    assert gate(source) == 10 * MS  # no upstream: no margin
+    clock.set(100 * MS)
+    assert gate(downstream) == 5 * MS
+    assert gate(source) is None
+    clock.set(105 * MS)
+    assert gate(downstream) is None
 
 
 # -- centralized federations ---------------------------------------------------
@@ -401,14 +436,9 @@ def _run_gather_decentralized(stp_ns, jitter_ns, n=15, seed=11):
     for fed in pubs:
         fed.on("tick", lambda ctx: ctx.publish("o", ctx.value))
     z = Federate(
-        FederateConfig(
-            fid="z",
-            mode=DECENTRALIZED,
-            stp_offset_ns=stp_ns,
-            inject_recv_jitter_ns=jitter_ns,
-            jitter_seed=seed,
-        ),
+        FederateConfig(fid="z", mode=DECENTRALIZED, stp_offset_ns=stp_ns),
         topo,
+        listener=DelayListener(FrameListener(), jitter_ns, seed),
     )
     seen, late = [], []
     total = 2 * n

@@ -13,19 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from hprm.bench.scenarios import measure_throughput
 from hprm.serde import (
     DEFAULT_OOB_FLOOR,
     SEGMENT_ALIGNMENT,
     PayloadFormatError,
     SerializedPayload,
-    Strategy,
     UnsupportedTypeError,
     build_layout,
-    classify,
     decode_payload,
     deserialize,
     encode_payload,
-    measure_throughput,
     payload_from_spans,
     serialize,
 )
@@ -78,29 +76,10 @@ value_trees = st.recursive(
 # -- placement ------------------------------------------------------------
 
 
-def test_classify_scalars_in_band():
-    assert classify(5) is Strategy.IN_BAND
-    assert classify("hello") is Strategy.IN_BAND
-    assert classify([1, 2.5, None, "x"]) is Strategy.IN_BAND
-
-
-def test_classify_large_array_out_of_band():
-    assert classify(np.zeros(1_000_000)) is Strategy.OUT_OF_BAND
-
-
-def test_classify_threshold_boundary():
-    assert classify(b"x" * DEFAULT_OOB_FLOOR) is Strategy.OUT_OF_BAND
-    assert classify(b"x" * (DEFAULT_OOB_FLOOR - 1)) is Strategy.IN_BAND
-
-
-def test_classify_mixed_container_recursive():
-    value = {"meta": 1, "data": np.zeros(4096 // 8)}
-    assert classify(value) is Strategy.RECURSIVE
-
-
 def test_small_leaves_produce_no_segments():
     payload = serialize({"a": 1, "b": [True, None, 2.5], "c": b"xy"})
     assert payload.segments == ()
+    assert serialize(b"x" * (DEFAULT_OOB_FLOOR - 1)).segments == ()
 
 
 def test_large_leaves_become_segments_without_copying():
@@ -110,6 +89,7 @@ def test_large_leaves_become_segments_without_copying():
     assert np.shares_memory(
         np.frombuffer(payload.segments[0], dtype=np.float64), arr
     )
+    assert len(serialize([b"x" * DEFAULT_OOB_FLOOR]).segments) == 1  # at the floor
 
 
 # -- round trips -----------------------------------------------------------

@@ -574,3 +574,41 @@ def test_create_after_eviction_reuses_the_pooled_segment(tmp_path):
             assert daemon._pool == []
     finally:
         daemon.stop()
+
+
+_KEPT_VIEW_SCRIPT = """
+import sys
+from hprm.store import StoreClient, StoreDaemon
+
+KIB = 1024
+daemon = StoreDaemon(sys.argv[1], capacity_bytes=12 * KIB).start()
+with StoreClient(daemon.socket_path) as client:
+    old = client.create(8 * KIB)
+    old.write(0, b"A" * (8 * KIB))
+    old.seal()
+    old.close()
+    sealed = client.get(old.oid)
+    view = sealed.view
+    sealed.release()  # the view is kept past the release
+    filler = client.create(4 * KIB)  # unsealed: the store is now full
+    filler.close()
+    new = client.create(4 * KIB)  # evicts the old object into the pool
+    new.close()
+    view[-1]  # the old object's last page
+daemon.stop()
+"""
+
+
+def test_view_kept_past_release_survives_a_smaller_create(tmp_path):
+    """A recycled segment is never shrunk under a mapping kept past its
+    release.  The child reads the old view's last page after a 4 KiB
+    create took the store's free pool; a shrunk segment kills it with
+    SIGBUS."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KEPT_VIEW_SCRIPT, str(tmp_path / "store.sock")],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr.decode())
