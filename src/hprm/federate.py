@@ -29,9 +29,10 @@ to the violation handler or dropped -- never silently processed out of
 order.
 
 Announcements double as promises: a federate reports the minimum of its
-queue head and its arrival floor (and, while mid-tag, the earliest tag a
-reaction could still schedule), which keeps every report monotone even
-though arrivals can land ahead of the queue head.
+queue head and its arrival floor (and, while mid-tag, the tag being
+executed, whose reactions may still publish), which keeps every report
+monotone even though arrivals can land ahead of the queue head.  Each
+report to the coordinator also carries the last completed tag.
 
 The runtime reads physical time only from its ``clock`` and takes
 inbound connections only from its ``listener``; both are constructor
@@ -63,7 +64,7 @@ from hprm.serde import (
     serialize,
 )
 from hprm.store import ObjectRef, SealedObject, StoreClient, StoreError
-from hprm.tags import FOREVER, NEVER, NO_DELAY, Tag, bound_tag, delay_tag
+from hprm.tags import FOREVER, NEVER, Tag, bound_tag, delay_tag
 from hprm.topology import Topology
 from hprm.transport import (
     ConnectionOptions,
@@ -281,6 +282,7 @@ class Federate:
         # reader exits, so they close at shutdown (see _peer_reader).
         self._reader_stores: list[StoreClient] = []
         self._pin_budget = 0  # bytes queued events may pin; see _dispatch_peer_frame
+        self._pinned_bytes = 0  # bytes pinned by the events in _queue
         self._unacked: dict[str, int] = {}  # OBJ_REF frames per reader
 
     # -- wiring ------------------------------------------------------------
@@ -336,8 +338,13 @@ class Federate:
         return self._seq
 
     def _push(self, item: _Queued) -> None:
+        """Queue an item, waking the executor only for a new head whose
+        gate waits on nothing that another thread signals: the grant or
+        watermark such a head waits on wakes the executor when it comes."""
         heapq.heappush(self._queue, item)
-        self._cond.notify_all()
+        if self._queue[0] is item:
+            if self._gate_wait_ns(item, self.clock.now_ns()) != 0:
+                self._cond.notify_all()
 
     # -- publishing ----------------------------------------------------------
 
@@ -511,10 +518,13 @@ class Federate:
                 with self._lock:
                     if frame.type == FrameType.TAG_GRANT:
                         if frame.tag > self._granted:
+                            head = self._queue[0].tag if self._queue else NEVER
+                            if self._granted < head <= frame.tag:
+                                self._cond.notify_all()  # the head waited on it
                             self._granted = frame.tag
                     elif frame.type == FrameType.STOP:
                         self._stop_tag = frame.tag
-                    self._cond.notify_all()
+                        self._cond.notify_all()
         except (TransportError, OSError):
             pass
         with self._lock:
@@ -556,7 +566,7 @@ class Federate:
                 if frame.tag > self._watermarks.get(src, NEVER):
                     self._watermarks[src] = frame.tag
                     self._report_progress_locked()
-                self._cond.notify_all()
+                    self._cond.notify_all()
         elif frame.type == FrameType.TAGGED_MSG:
             payload = decode_payload(frame.body)
             self._arrive(frame, src, payload, None)
@@ -582,10 +592,8 @@ class Federate:
                 conn.send_frame(Frame(FrameType.OBJ_ACK, frame.tag))
             except (TransportError, OSError):
                 pass  # the publisher has gone and needs no more credit
-            with self._lock:
-                pinned = sum(q.sealed.size for q in self._queue if q.sealed)
             view = sealed.view
-            if pinned + sealed.size > self._pin_budget:
+            if self._pinned_bytes + sealed.size > self._pin_budget:
                 # Queued events already pin half the store: copy this
                 # payload and unpin it, so that pins never crowd out the
                 # objects publishers create next.
@@ -619,6 +627,8 @@ class Federate:
                     self._violations.append((item, lateness))
                 self._cond.notify_all()
                 return
+            if sealed is not None:
+                self._pinned_bytes += sealed.size
             self._push(item)
 
     # -- progress reports ---------------------------------------------------------------
@@ -633,9 +643,10 @@ class Federate:
         head = self._queue[0].tag if self._queue else FOREVER
         promise = min(head, self._floor_locked())
         if self._executing:
-            # A reaction may still schedule locally: nothing earlier than
-            # one microstep past the tag being executed.
-            promise = min(promise, delay_tag(self._current, NO_DELAY))
+            # A reaction of the tag being executed may still publish at
+            # delay_tag(current, d), which only a promise of ``current``
+            # keeps at or above the floor that peers derive from it.
+            promise = min(promise, self._current)
         return promise
 
     def _report_progress_locked(self, force: bool = False) -> None:
@@ -650,7 +661,9 @@ class Federate:
             )
         self._announced = promise
         empty = not self._queue and not self._executing and not self._violations
-        body = encode_progress(empty, self.messages_sent, self.messages_received)
+        body = encode_progress(
+            empty, self.messages_sent, self.messages_received, self._completed
+        )
         frame = Frame(FrameType.NET, promise, body=body)
         try:
             self._rti.send_frame(frame)
@@ -688,7 +701,10 @@ class Federate:
         tag = self._queue[0].tag
         batch = []
         while self._queue and self._queue[0].tag == tag:
-            batch.append(heapq.heappop(self._queue))
+            item = heapq.heappop(self._queue)
+            if item.sealed is not None:
+                self._pinned_bytes -= item.sealed.size
+            batch.append(item)
         self._current = tag
         self._executing = True
         return batch
@@ -824,11 +840,6 @@ class Federate:
                 self._executing = False
                 self._completed = self._current
                 self.executed_tags.append(self._current)
-                if self.config.mode == CENTRALIZED:
-                    try:
-                        self._rti.send_frame(Frame(FrameType.LTC, self._current))
-                    except (TransportError, OSError):
-                        pass
                 self._report_progress_locked()
                 self._cond.notify_all()
 
@@ -866,11 +877,11 @@ class Federate:
     def _shutdown(self, status: str) -> None:
         with self._lock:
             self._finished = True
-            dangling = self._queue[:]
+            # Queued pins belong to the readers' store sessions, which
+            # close below: the daemon releases a dropped session's pins.
+            # Releasing them here would wait behind a reader's parked get.
             self._queue.clear()
-        for item in dangling:
-            if item.sealed is not None:
-                item.sealed.release()
+            self._pinned_bytes = 0
         if self._rti is not None:
             try:
                 self._rti.send_frame(Frame(FrameType.RESIGN, self._completed if self._completed.is_finite() else Tag(0, 0)))

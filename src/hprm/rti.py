@@ -7,7 +7,9 @@ One daemon process tracks, per federate, three monotone tags:
   unless something arrives first"; ``NEVER`` means "not reported yet".
 * *granted* -- the largest tag the daemon has authorized the federate to
   advance to (TAG_GRANT frames).
-* *completed* -- the largest tag the federate has finished (LTC frames).
+* *completed* -- the largest tag the federate has finished.  It rides
+  in the body of each NET report rather than in a frame of its own: no
+  grant depends on it, only the stop tag does.
 
 A federate may be granted tag G when no upstream federate can still emit
 an event with tag <= G.  Each upstream announcement bounds that
@@ -22,9 +24,10 @@ Resigned federates are fail-stopped: they are treated as if they had
 announced ``FOREVER``, so their downstream peers are not wedged.
 
 Shutdown: every announcement doubles as a quiescence report carrying a
-queue-empty flag and cumulative sent/received message counts.  The
-federation has drained exactly when every live federate reports an empty
-queue and the global sent and received totals agree -- a message still
+queue-empty flag, cumulative sent/received message counts and the last
+completed tag.  The federation has drained exactly when every live
+federate reports an empty queue and the global sent and received totals
+agree (the daemon keeps both totals as running sums) -- a message still
 in flight always leaves the totals unequal, and a federate that went
 busy again after reporting empty must first have received such a
 message.  (Announcements alone cannot detect this: around a cycle with
@@ -64,19 +67,27 @@ class RtiProtocolError(Exception):
     """A federate broke the coordination protocol's rules."""
 
 
-_PROGRESS = struct.Struct("<BQQ")
+_PROGRESS = struct.Struct("<BQQqI")
 
 
-def encode_progress(queue_empty: bool, sent: int, received: int) -> bytes:
-    """NET frame body: quiescence report riding along with the announcement."""
-    return _PROGRESS.pack(1 if queue_empty else 0, sent, received)
+def encode_progress(
+    queue_empty: bool, sent: int, received: int, completed: Tag = NEVER
+) -> bytes:
+    """NET frame body: the quiescence report and the last completed tag,
+    riding along with the announcement."""
+    return _PROGRESS.pack(
+        1 if queue_empty else 0, sent, received, completed.time, completed.microstep
+    )
 
 
-def decode_progress(body: bytes) -> tuple[bool, int, int]:
+def decode_progress(body: bytes) -> tuple[bool, int, int, Tag]:
     if not body:
-        return False, 0, 0
-    empty, sent, received = _PROGRESS.unpack_from(body)
-    return bool(empty), sent, received
+        return False, 0, 0, NEVER
+    try:
+        empty, sent, received, time, microstep = _PROGRESS.unpack_from(body)
+        return bool(empty), sent, received, Tag(time, microstep)
+    except (struct.error, ValueError) as exc:
+        raise RtiProtocolError(f"malformed progress report: {exc}") from None
 
 
 class Phase(Enum):
@@ -125,6 +136,18 @@ class RtiState:
         self.startup_offset_ns = startup_offset_ns
         self.phase = Phase.REGISTERING
         self.records = {fid: FederateRecord(fid) for fid in topology.federates}
+        # Fixed by the topology, so worked out once: each federate's input
+        # edges, and whom a change in its announcement may unblock.
+        self._inputs = {fid: topology.inputs_of(fid) for fid in topology.federates}
+        self._downstream = {
+            fid: topology.downstream_ids(fid) for fid in topology.federates
+        }
+        self._net_targets = {
+            fid: tuple(dict.fromkeys((fid, *self._downstream[fid])))
+            for fid in topology.federates
+        }
+        self._sent_total = 0  # sums of the records' counters, for autostop
+        self._received_total = 0
         self.start_tag: Tag | None = None
         self._stop_info: StopInfo | None = None
         self._stop_pending = False
@@ -165,7 +188,7 @@ class RtiState:
     def grant_bound(self, fid: str) -> Tag:
         """Earliest tag an upstream federate might still deliver to fid."""
         bound = FOREVER
-        for edge in self.topology.inputs_of(fid):
+        for edge in self._inputs[fid]:
             upstream = self.records[edge.src]
             if upstream.resigned:
                 continue  # fail-stopped: sends nothing further
@@ -174,7 +197,7 @@ class RtiState:
 
     def _emit_grants(self, fids) -> list[Grant]:
         grants = []
-        for fid in dict.fromkeys(fids):  # de-dup, order-preserving
+        for fid in fids:
             record = self.records[fid]
             if record.resigned or not record.announced.is_finite():
                 continue  # nothing requested, or nobody to tell
@@ -192,7 +215,10 @@ class RtiState:
         queue_empty: bool = False,
         sent: int = 0,
         received: int = 0,
+        completed: Tag = NEVER,
     ) -> list[Grant]:
+        """An announcement, with the quiescence report and the last
+        completed tag (``NEVER``: none yet) riding along."""
         record = self._record(fid)
         if record.resigned:
             raise RtiProtocolError(f"{fid!r} announced after resigning")
@@ -204,26 +230,23 @@ class RtiState:
             )
         if sent < record.sent_count or received < record.received_count:
             raise RtiProtocolError(f"{fid!r} message counters went backwards")
+        if completed > record.granted:
+            raise RtiProtocolError(
+                f"{fid!r} completed {completed!r} beyond its grant {record.granted!r}"
+            )
+        if completed < record.completed:
+            raise RtiProtocolError(
+                f"{fid!r} completion went backwards: "
+                f"{record.completed!r} -> {completed!r}"
+            )
         record.announced = tag
         record.reported_empty = queue_empty
+        self._sent_total += sent - record.sent_count
+        self._received_total += received - record.received_count
         record.sent_count = sent
         record.received_count = received
-        return self._emit_grants([fid, *self.topology.downstream_ids(fid)])
-
-    def handle_ltc(self, fid: str, tag: Tag) -> list[Grant]:
-        record = self._record(fid)
-        if not tag.is_finite():
-            raise RtiProtocolError(f"{fid!r} completed a sentinel tag")
-        if tag > record.granted:
-            raise RtiProtocolError(
-                f"{fid!r} completed {tag!r} beyond its grant {record.granted!r}"
-            )
-        if tag < record.completed:
-            raise RtiProtocolError(
-                f"{fid!r} completion went backwards: {record.completed!r} -> {tag!r}"
-            )
-        record.completed = tag
-        return self._emit_grants(self.topology.downstream_ids(fid))
+        record.completed = completed
+        return self._emit_grants(self._net_targets[fid])
 
     def handle_resign(self, fid: str) -> list[Grant]:
         record = self._record(fid)
@@ -231,7 +254,7 @@ class RtiState:
             return []
         record.resigned = True
         record.announced = FOREVER
-        return self._emit_grants(self.topology.downstream_ids(fid))
+        return self._emit_grants(self._downstream[fid])
 
     # -- shutdown -----------------------------------------------------------------
 
@@ -244,14 +267,11 @@ class RtiState:
         """
         if self.phase is not Phase.RUNNING:
             return False
-        records = self.records.values()
-        if not all(
-            r.resigned or r.reported_empty or r.announced == FOREVER
-            for r in records
-        ):
+        if self._sent_total != self._received_total:
             return False
-        return sum(r.sent_count for r in records) == sum(
-            r.received_count for r in records
+        return all(
+            r.resigned or r.reported_empty or r.announced == FOREVER
+            for r in self.records.values()
         )
 
     def request_stop(self, at: Tag | None = None) -> StopInfo | None:
@@ -370,7 +390,9 @@ class RtiServer:
                     break
                 with self._lock:
                     if frame.type == FrameType.NET:
-                        empty, sent, received = decode_progress(frame.body)
+                        empty, sent, received, completed = decode_progress(
+                            frame.body
+                        )
                         self._send_grants(
                             self.state.handle_net(
                                 fid,
@@ -378,11 +400,10 @@ class RtiServer:
                                 queue_empty=empty,
                                 sent=sent,
                                 received=received,
+                                completed=completed,
                             )
                         )
                         self._maybe_autostop()
-                    elif frame.type == FrameType.LTC:
-                        self._send_grants(self.state.handle_ltc(fid, frame.tag))
                     elif frame.type == FrameType.STOP:
                         info = self.state.request_stop(
                             frame.tag if frame.tag.is_finite() else None

@@ -243,6 +243,12 @@ class StoreClient:
         return json.loads(blob.decode())
 
     def close(self) -> None:
+        """End the session; a request blocked on it in another thread
+        wakes with an error, and the daemon releases the session's pins."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed, or never connected
         self._sock.close()
 
     def __enter__(self) -> "StoreClient":

@@ -13,7 +13,11 @@ body.  Header layout, all little-endian:
 The receive path is eager: each connection allocates its receive buffer
 once, up front, and every frame is read into it -- no per-message
 allocation, no deferred reads.  ``receive_buffer_allocations`` stays at 1
-for the life of the connection and tests assert exactly that.  Frames
+for the life of the connection and tests assert exactly that.  One
+``recv_into`` takes whatever has arrived, up to the buffer's end, and
+``recv_frame`` parses frames out of the buffer before it reads again, so
+a burst of small frames costs one system call.  A partial frame left
+behind is moved to the buffer's start before the next read.  Frames
 larger than the buffer are rejected on both send and receive, so peers
 must agree on the buffer size (it is federation configuration, not a
 per-connection negotiation).
@@ -48,7 +52,6 @@ class FrameType(IntEnum):
     JOIN = 1
     START = 2
     NET = 3          # earliest possible future event announcement
-    LTC = 4          # tag completion announcement
     TAG_GRANT = 5
     STOP = 6
     RESIGN = 7
@@ -101,9 +104,11 @@ def encode_header(frame: Frame) -> bytes:
     )
 
 
-def decode_header(buf) -> tuple[int, int, Tag, int, int]:
+def decode_header(buf, offset: int = 0) -> tuple[int, int, Tag, int, int]:
     """Parse a header; returns (type, flags, tag, port, body_len)."""
-    ftype, flags, tag_time, microstep, port, body_len = HEADER.unpack_from(buf)
+    ftype, flags, tag_time, microstep, port, body_len = HEADER.unpack_from(
+        buf, offset
+    )
     try:
         FrameType(ftype)
     except ValueError:
@@ -137,6 +142,8 @@ class FrameConnection:
         self._send_lock = threading.Lock()
         self._buf = bytearray(self.options.eager_buffer_bytes)
         self._view = memoryview(self._buf)
+        self._start = 0  # buf[_start:_end] holds received, unparsed bytes
+        self._end = 0
         self.receive_buffer_allocations = 1
         self.frames_sent = 0
         self.frames_received = 0
@@ -165,32 +172,42 @@ class FrameConnection:
                 self._sock.sendall(frame.body)
             self.frames_sent += 1
 
-    def _recv_exact(self, offset: int, count: int) -> bool:
-        """Fill buf[offset:offset+count]; False on clean EOF at a boundary."""
-        got = 0
-        while got < count:
-            n = self._sock.recv_into(self._view[offset + got : offset + count])
+    def _fill(self, count: int) -> bool:
+        """Hold at least ``count`` unparsed bytes, reading whatever has
+        arrived; False on clean EOF with nothing held."""
+        view = self._view
+        while self._end - self._start < count:
+            held = self._end - self._start
+            if self._start:
+                # Move the partial frame to the start: it then fits (count
+                # <= capacity), and reads keep to the buffer's first pages.
+                view[:held] = view[self._start : self._end]
+                self._start, self._end = 0, held
+            n = self._sock.recv_into(view[held:])
             if n == 0:
-                if got == 0 and offset == 0:
+                if held == 0:
                     return False
                 raise FrameProtocolError("connection closed mid-frame")
-            got += n
+            self._end += n
         return True
 
     def recv_frame(self) -> Frame | None:
         """Next frame, or None when the peer closed cleanly between frames."""
-        if not self._recv_exact(0, HEADER_BYTES):
+        if not self._fill(HEADER_BYTES):
             return None
-        ftype, flags, tag, port, body_len = decode_header(self._view)
-        if HEADER_BYTES + body_len > self.options.eager_buffer_bytes:
+        ftype, flags, tag, port, body_len = decode_header(self._view, self._start)
+        size = HEADER_BYTES + body_len
+        if size > self.options.eager_buffer_bytes:
             raise OversizeFrameError(
                 f"peer declared a {body_len}-byte body; buffer contract is "
                 f"{self.options.eager_buffer_bytes} bytes"
             )
-        body = b""
-        if body_len:
-            self._recv_exact(HEADER_BYTES, body_len)
-            body = bytes(self._view[HEADER_BYTES : HEADER_BYTES + body_len])
+        self._fill(size)
+        start = self._start
+        body = bytes(self._view[start + HEADER_BYTES : start + size])
+        self._start += size
+        if self._start == self._end:
+            self._start = self._end = 0
         self.frames_received += 1
         return Frame(ftype, tag, port, body, flags)
 

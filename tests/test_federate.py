@@ -19,12 +19,12 @@ from hprm.federate import (
     FederateError,
     RunSummary,
 )
-from hprm.rti import RtiServer
-from hprm.store import StoreClient
+from hprm.rti import RtiServer, RtiState
+from hprm.store import ObjectRef, StoreClient, random_object_id
 from hprm.store.daemon import StoreDaemon
-from hprm.tags import Delay, Tag
+from hprm.tags import NEVER, NO_DELAY, Delay, Tag, bound_tag, delay_tag
 from hprm.topology import Connection, Topology
-from hprm.transport import FrameListener
+from hprm.transport import Frame, FrameConnection, FrameListener, FrameType
 
 MS = 1_000_000
 
@@ -195,6 +195,67 @@ def test_gate_wait_follows_a_manual_clock():
     assert gate(downstream) is None
 
 
+class _CountingCond:
+    def __init__(self):
+        self.wakes = 0
+
+    def notify_all(self):
+        self.wakes += 1
+
+
+class _Feed:
+    """Stands in for the coordinator connection: hands out given frames."""
+
+    def __init__(self, *frames):
+        self.frames = list(frames)
+
+    def recv_frame(self):
+        return self.frames.pop(0) if self.frames else None
+
+
+def test_executor_is_woken_only_when_its_head_may_run():
+    """Centralized: a new head held back by a missing grant or watermark
+    does not wake the executor; the grant or watermark that frees it does."""
+    topo = pipeline("a", "b")
+    fed = Federate(FederateConfig(fid="b"), topo)
+    cond = fed._cond = _CountingCond()
+    fed._watermarks["a"] = Tag(100, 0)  # floor (100, 1)
+
+    def grant(tag):
+        before = cond.wakes
+        fed._rti = _Feed(Frame(FrameType.TAG_GRANT, tag))
+        fed._rti_reader()
+        return cond.wakes - before - 1  # the reader's exit always wakes it
+
+    def net(tag):
+        before = cond.wakes
+        fed._dispatch_peer_frame(None, "a", None, Frame(FrameType.NET, tag))
+        return cond.wakes - before
+
+    def push(fed, tag):
+        before = fed._cond.wakes
+        fed.schedule(tag, "x")
+        return fed._cond.wakes - before
+
+    assert push(fed, Tag(200, 0)) == 0  # no grant yet
+    assert grant(Tag(150, 0)) == 0  # short of the head
+    assert grant(Tag(300, 0)) == 1
+    assert net(Tag(250, 0)) == 1  # the floor passes the head
+    assert net(Tag(250, 0)) == 0  # no news
+    assert push(fed, Tag(210, 0)) == 0  # not the head
+    assert push(fed, Tag(190, 0)) == 1  # a new head, granted and floored
+    fed._queue.clear()
+    assert push(fed, Tag(260, 0)) == 0  # at or above the floor (250, 1)
+    fed._queue.clear()
+    assert grant(Tag(400, 0)) == 0  # nothing queued to run
+
+    source = Federate(FederateConfig(fid="a", mode=DECENTRALIZED), topo)
+    source._cond = _CountingCond()
+    assert push(source, Tag(200, 0)) == 1
+    assert push(source, Tag(100, 0)) == 1  # decentralized: every new head
+    assert push(source, Tag(300, 0)) == 0
+
+
 # -- centralized federations ---------------------------------------------------
 
 
@@ -362,6 +423,104 @@ def test_reaction_chain_through_intermediate_federate():
         lambda f, s: schedule_ramp(f, s, 6) if f.fid == "src" else None,
     )
     assert out == [0, 2, 4, 6, 8, 10]
+
+
+def test_centralized_run_sends_one_report_per_executed_tag(monkeypatch):
+    """Two publishers take turns feeding one subscriber.  The coordinator
+    hears no tag-completion frames: each completion rides on the NET the
+    federate sends once the tag is done, and a federate sends at most one
+    NET per executed tag, plus a constant for start-up."""
+    nets: dict[str, int] = {}
+    types: set[int] = set()
+    handle_net = RtiState.handle_net
+    recv_frame = FrameConnection.recv_frame
+
+    def counting_net(self, fid, tag, **kwargs):
+        nets[fid] = nets.get(fid, 0) + 1
+        return handle_net(self, fid, tag, **kwargs)
+
+    def recording_recv(self):
+        frame = recv_frame(self)
+        if frame is not None and threading.current_thread().name == "rti-reader":
+            types.add(frame.type)
+        return frame
+
+    monkeypatch.setattr(RtiState, "handle_net", counting_net)
+    monkeypatch.setattr(FrameConnection, "recv_frame", recording_recv)
+    topo = _gather_topology()
+    feds = [Federate(FederateConfig(fid=f), topo) for f in ("a", "b", "z")]
+    seen = []
+    for fed in feds[:2]:
+        fed.on("tick", lambda ctx: ctx.publish("o", ctx.value))
+    feds[2].on(("in_a", "in_b"), lambda ctx: seen.append(ctx.tag))
+    n = 30
+
+    def setup(fed, start):
+        if fed.fid == "a":
+            schedule_ramp(fed, start, n, period_ns=2 * MS)
+        elif fed.fid == "b":
+            schedule_ramp(fed, start, n, period_ns=2 * MS, offset_ns=MS)
+
+    results = run_federation(topo, feds, setup)
+    assert len(seen) == 2 * n and seen == sorted(seen)
+    assert types <= {FrameType.JOIN, FrameType.NET, FrameType.RESIGN}, types
+    for fid, summary in results.items():
+        assert isinstance(summary, RunSummary), summary
+        assert summary.executed <= nets[fid] <= summary.executed + 3, (fid, nets)
+        # Every federate ends announcing FOREVER, so only the completed
+        # tags that rode on the NETs can place the stop tag.
+        assert summary.stop_tag == delay_tag(seen[-1], NO_DELAY)
+
+
+class _Recorder:
+    """Stands in for a connection; keeps what is sent on it."""
+
+    def __init__(self):
+        self.frames = []
+
+    def send_frame(self, frame):
+        self.frames.append(frame)
+
+    def close(self):
+        pass
+
+
+def test_upstream_net_mid_reaction_keeps_the_floor_below_its_publish():
+    """An upstream NET lands while a reaction runs and makes the federate
+    report progress.  The promise it forwards must not lift the
+    downstream floor above the tag that reaction then publishes at."""
+    topo = pipeline("src", "mid", "dst")
+    mid = Federate(FederateConfig(fid="mid"), topo)
+    mid._rti, dst = _Recorder(), _Recorder()
+    mid._peers_out["dst"] = dst
+    start = Tag(1_000 * MS, 0)
+    mid.start_tag = start
+    mid._watermarks["src"] = start
+    mid._started = True
+
+    def relay(ctx):
+        net = Frame(FrameType.NET, Tag(start.time + MS, 0))
+        mid._dispatch_peer_frame(None, "src", None, net)
+        ctx.publish("out", ctx.value)
+
+    mid.on("in", relay)
+    at = delay_tag(start, NO_DELAY)  # src's publish at the start tag
+    with mid._lock:
+        mid._granted = at
+        mid._announced = at  # the grant for `at` implies this announcement
+        mid._push(hprm.federate._Queued(at, mid._next_seq(), "in", value=7))
+        batch = mid._pop_batch_locked()
+    mid._execute_batch(batch)
+
+    floor, published = NEVER, 0
+    for frame in dst.frames:
+        if frame.type == FrameType.NET:
+            floor = max(floor, bound_tag(frame.tag, NO_DELAY))
+        else:
+            assert frame.tag >= floor, f"published {frame.tag!r} below floor {floor!r}"
+            published += 1
+    assert published == 1
+    assert [f.tag for f in mid._rti.frames] == [Tag(start.time + MS, 1)]
 
 
 def test_handler_panic_resigns_but_federation_still_stops():
@@ -659,12 +818,16 @@ def test_slow_subscriber_never_pins_more_than_half_the_store(tmp_path):
     topo = pipeline("pub", "sub")
     pub = Federate(FederateConfig(fid="pub", store_path=daemon.socket_path), topo)
     sub = Federate(FederateConfig(fid="sub", store_path=daemon.socket_path), topo)
-    got, pins = [], []
+    got, pins, counted = [], [], []
     pub.on("tick", lambda ctx: ctx.publish("out", np.full(2**17, ctx.value)))
 
     def slow(ctx):
         got.append(ctx.value[0])
-        pins.append(sum(1 for q in sub._queue if q.sealed))
+        with sub._lock:
+            pins.append(sum(1 for q in sub._queue if q.sealed))
+            counted.append(
+                (sub._pinned_bytes, sum(q.sealed.size for q in sub._queue if q.sealed))
+            )
         time.sleep(0.1)
 
     sub.on("in", slow)
@@ -682,6 +845,101 @@ def test_slow_subscriber_never_pins_more_than_half_the_store(tmp_path):
     assert got == [float(i) for i in range(12)]
     assert 1 <= max(pins) <= 3  # 3 MiB of queued pins, then copies
     assert stats["creates"] == 12 and stats["releases"] == stats["gets"] == 12
+    assert all(running == summed for running, summed in counted), counted
+    assert sub._pinned_bytes == 0
+
+
+def test_a_late_store_payload_leaves_no_pin_counted(store):
+    """Decentralized: a store payload lands below a tag already run, so it
+    takes the violation path, which unpins it and never counts it."""
+    topo = pipeline("pub", "sub")
+    pub = Federate(
+        FederateConfig(fid="pub", mode=DECENTRALIZED, store_path=store.socket_path),
+        topo,
+    )
+    sub = Federate(
+        FederateConfig(
+            fid="sub", mode=DECENTRALIZED, stp_offset_ns=MS,
+            store_path=store.socket_path,
+        ),
+        topo,
+    )
+    late = []
+
+    def tick(ctx):
+        deadline = time.monotonic() + 5
+        while not sub.executed_tags and time.monotonic() < deadline:
+            time.sleep(0.002)  # publish only once sub ran a later tag
+        ctx.publish("out", np.ones(100_000))
+
+    def on_late(ctx):
+        late.append(ctx.tag)
+        ctx.federate.request_stop()
+
+    pub.on("tick", tick)
+    sub.on("local", lambda ctx: None)
+    sub.on("in", lambda ctx: None, on_stp_violation=on_late)
+
+    def setup(fed, start):
+        port, offset = ("tick", MS) if fed.fid == "pub" else ("local", 2 * MS)
+        fed.schedule(Tag(start.time + offset, 0), port)
+
+    results = run_federation(topo, [pub, sub], setup)
+    assert isinstance(results["sub"], RunSummary), results["sub"]
+    assert results["sub"].stp_violations == 1 and len(late) == 1
+    assert sub._pinned_bytes == 0
+    stats = store.state.stats()
+    assert stats["releases"] == stats["gets"] == 1
+
+
+def test_shutdown_does_not_wait_behind_a_parked_get(store):
+    """The subscriber's run ends while its reader is parked on an object
+    that is never sealed and a queued event pins an object read through
+    that reader's store session.  run() returns at once, and the daemon
+    releases the pin when the session closes."""
+    topo = pipeline("pub", "sub")
+    pub = Federate(FederateConfig(fid="pub", store_path=store.socket_path), topo)
+    sub = Federate(
+        FederateConfig(
+            fid="sub", store_path=store.socket_path,
+            store_get_timeout_ns=30_000 * MS,
+        ),
+        topo,
+    )
+    port = topo.port_number("sub", "in")
+    raised = []
+
+    def tick(ctx):
+        ctx.publish("out", np.ones(100_000))  # sealed; sub pins and queues it
+        never = ObjectRef(random_object_id(), 64, (0, 64), ())
+        ctx.federate._peers_out["sub"].send_frame(
+            Frame(FrameType.OBJ_REF, ctx.tag, port, never.encode())
+        )
+
+    def halt(ctx):
+        deadline = time.monotonic() + 5
+        while not (store._parked and sub._pinned_bytes) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        raised.append(time.monotonic())
+        raise RuntimeError("halt with a reader parked")
+
+    pub.on("tick", tick)
+    sub.on("in", lambda ctx: None)
+    sub.on("halt", halt)
+
+    def setup(fed, start):
+        port = "tick" if fed.fid == "pub" else "halt"
+        fed.schedule(Tag(start.time + MS, 0), port)
+
+    results = run_federation(topo, [pub, sub], setup)
+    assert isinstance(results["sub"], RuntimeError), results["sub"]
+    assert time.monotonic() - raised[0] < 2.0
+    assert isinstance(results["pub"], RunSummary), results["pub"]
+    assert sub._pinned_bytes == 0
+    deadline = time.monotonic() + 2
+    while store.state.stats()["releases"] < 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert store.state.stats()["releases"] == 1
 
 
 @pytest.mark.parametrize("fault", ["timeout", "stopped"])

@@ -10,15 +10,24 @@ at every emission.
 """
 
 import heapq
+import json
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hprm.rti import Phase, RtiProtocolError, RtiState
+from hprm.rti import (
+    Phase,
+    RtiProtocolError,
+    RtiServer,
+    RtiState,
+    decode_progress,
+    encode_progress,
+)
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Delay, Tag, bound_tag, delay_tag
 from hprm.topology import Connection, Topology, validate_topology
+from hprm.transport import Frame, FrameListener, FrameType, connect
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -124,19 +133,31 @@ def test_completion_beyond_grant_rejected():
     join_all(state)
     state.handle_net("a", Tag(100, 0))  # grants (100, 0)
     with pytest.raises(RtiProtocolError):
-        state.handle_ltc("a", Tag(200, 0))
+        state.handle_net("a", Tag(300, 0), completed=Tag(200, 0))
+    assert state.records["a"].announced == Tag(100, 0)  # rejected whole
 
 
 def test_completion_is_monotone_and_idempotent():
     state = make_state([], ["a"])
     join_all(state)
     state.handle_net("a", Tag(100, 0))
-    assert state.handle_ltc("a", Tag(100, 0)) == []
-    assert state.handle_ltc("a", Tag(100, 0)) == []  # repeat accepted
-    state.handle_net("a", Tag(300, 0))
-    state.handle_ltc("a", Tag(300, 0))
+    assert state.handle_net("a", Tag(100, 0), completed=Tag(100, 0)) == []
+    assert state.handle_net("a", Tag(100, 0), completed=Tag(100, 0)) == []  # repeat
+    state.handle_net("a", Tag(300, 0), completed=Tag(100, 0))
+    state.handle_net("a", Tag(300, 0), completed=Tag(300, 0))
     with pytest.raises(RtiProtocolError):
-        state.handle_ltc("a", Tag(100, 0))  # regression
+        state.handle_net("a", Tag(300, 0), completed=Tag(100, 0))  # regression
+    with pytest.raises(RtiProtocolError):
+        state.handle_net("a", Tag(300, 0))  # NEVER: "none yet" is a regression too
+    assert state.records["a"].completed == Tag(300, 0)
+
+
+def test_progress_body_round_trip():
+    body = encode_progress(True, 7, 5, Tag(123, 4))
+    assert decode_progress(body) == (True, 7, 5, Tag(123, 4))
+    assert decode_progress(encode_progress(False, 0, 0)) == (False, 0, 0, NEVER)
+    with pytest.raises(RtiProtocolError):
+        decode_progress(body[:-1])
 
 
 def test_resign_unblocks_downstream():
@@ -159,13 +180,11 @@ def test_autostop_when_everyone_announces_forever():
     )
     join_all(state)
     state.handle_net("a", Tag(1 * S, 0))
-    state.handle_ltc("a", Tag(1 * S, 0))
     state.handle_net("b", Tag(1 * S, 1))
-    state.handle_ltc("b", Tag(1 * S, 1))
     assert not state.autostop_ready()
-    state.handle_net("a", FOREVER)
+    state.handle_net("a", FOREVER, completed=Tag(1 * S, 0))
     assert not state.autostop_ready()
-    state.handle_net("b", FOREVER)
+    state.handle_net("b", FOREVER, completed=Tag(1 * S, 1))
     assert state.autostop_ready()
     info = state.initiate_stop()
     assert info.stop_tag == Tag(1 * S, 2)  # one microstep past the last completion
@@ -177,8 +196,7 @@ def test_stop_tag_example_all_completed_at_one_second():
     join_all(state)
     for fid in ("a", "b"):
         state.handle_net(fid, Tag(1 * S, 0))
-        state.handle_ltc(fid, Tag(1 * S, 0))
-        state.handle_net(fid, FOREVER)
+        state.handle_net(fid, FOREVER, completed=Tag(1 * S, 0))
     assert state.initiate_stop().stop_tag == Tag(1 * S, 1)
 
 
@@ -221,6 +239,33 @@ def test_stop_requested_before_start_is_deferred():
     assert info.stop_tag > state.start_tag
 
 
+# -- the socket front end -----------------------------------------------------------
+
+
+def test_server_grants_a_three_argument_progress_report():
+    """A lone federate with no inputs is granted what it announces, also
+    when its report carries no completed tag (the benchmark's grant probe
+    sends exactly this)."""
+    server = RtiServer(Topology.build(["solo"], []), startup_offset_ns=0).start()
+    try:
+        with FrameListener() as listener, connect(server.address, retry_for=5.0) as conn:
+            join = {"fid": "solo", "clock_ns": 0, "address": list(listener.address)}
+            conn.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=json.dumps(join).encode()))
+            start = conn.recv_frame()
+            assert start.type == FrameType.START
+            progress = encode_progress(False, 0, 0)
+            for i in range(1, 4):
+                tag = Tag(start.tag.time + i, 0)
+                conn.send_frame(Frame(FrameType.NET, tag, body=progress))
+                grant = conn.recv_frame()
+                assert (grant.type, grant.tag) == (FrameType.TAG_GRANT, tag)
+            conn.send_frame(Frame(FrameType.RESIGN, tag))
+        server.join(timeout=5)
+        assert server.state.records["solo"].resigned
+    finally:
+        server.close()
+
+
 # -- randomized federation simulation ------------------------------------------------
 
 
@@ -231,6 +276,7 @@ class _SimFederate:
         self.granted = NEVER
         self.current = NEVER
         self.processed = []
+        self.completed = NEVER
         self.sent = 0
         self.received = 0
 
@@ -305,6 +351,7 @@ def run_federation_simulation(topology, initial_events, seed):
                 queue_empty=not fed.queue,
                 sent=fed.sent,
                 received=fed.received,
+                completed=fed.completed,
             )
         )
         return promise != announced
@@ -356,7 +403,10 @@ def run_federation_simulation(topology, initial_events, seed):
                 heapq.heappush(target.queue, arrival)
                 fed.sent += 1
                 target.received += 1
-        apply_grants(state.handle_ltc(fed.fid, tag))
+        # The completion rides on the report that processing always
+        # triggers: the promise was the tag itself, and is now past it.
+        fed.completed = tag
+        assert announce(fed), "a completed tag went unreported"
 
     for fed in feds.values():
         announce(fed)  # final quiescence reports

@@ -176,6 +176,7 @@ def test_oversize_declared_body_rejected_on_receive():
         client._sock.sendall(raw)
         with pytest.raises(OversizeFrameError):
             server.recv_frame()
+        assert server.receive_buffer_allocations == 1
     finally:
         client.close()
         server.close()
@@ -187,6 +188,7 @@ def test_eof_mid_frame_is_an_error_and_clean_eof_is_none():
     client.close()
     with pytest.raises(FrameProtocolError):
         server.recv_frame()
+    assert server.receive_buffer_allocations == 1
     server.close()
 
     client, server = loopback_pair()
@@ -194,6 +196,7 @@ def test_eof_mid_frame_is_an_error_and_clean_eof_is_none():
     client.close()
     assert server.recv_frame() is not None
     assert server.recv_frame() is None  # boundary EOF
+    assert server.receive_buffer_allocations == 1
     server.close()
 
 
@@ -236,3 +239,156 @@ def test_ping_echo_round_trip():
         client.close()
         echo_thread.join()
         server.close()
+
+
+# -- buffered receive -----------------------------------------------------------
+
+
+class _CountingSocket:
+    """A socket whose ``recv_into`` calls are counted, and optionally
+    capped at ``limit`` bytes each."""
+
+    def __init__(self, sock, limit=None):
+        self._sock = sock
+        self.limit = limit
+        self.recv_calls = 0
+
+    def recv_into(self, view):
+        self.recv_calls += 1
+        if self.limit is not None:
+            view = view[: self.limit]
+        return self._sock.recv_into(view)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def counted_pair(buffer_bytes=1024, limit=None):
+    """(raw sending socket, receiving FrameConnection, its counting socket)."""
+    raw, theirs = socket.socketpair()
+    counting = _CountingSocket(theirs, limit)
+    conn = FrameConnection(counting, ConnectionOptions(eager_buffer_bytes=buffer_bytes))
+    return raw, conn, counting
+
+
+def wire_bytes(*frames):
+    return b"".join(encode_header(f) + f.body for f in frames)
+
+
+def test_one_recv_into_yields_every_frame_it_brings():
+    raw, conn, counting = counted_pair()
+    frames = [
+        Frame(FrameType.NET, Tag(i, 0), body=b"x" * i) for i in range(5)
+    ]
+    try:
+        raw.sendall(wire_bytes(*frames))
+        raw.close()
+        assert [conn.recv_frame() for _ in frames] == frames
+        assert counting.recv_calls == 1
+        assert conn.recv_frame() is None
+        assert counting.recv_calls == 2
+        assert conn.frames_received == 5
+        assert conn.receive_buffer_allocations == 1
+    finally:
+        conn.close()
+
+
+def test_a_sender_writing_one_byte_at_a_time():
+    raw, conn, counting = counted_pair(limit=1)
+    frames = [
+        Frame(FrameType.TAGGED_MSG, Tag(i, 1), port=i, body=bytes([i]) * (7 * i))
+        for i in range(6)
+    ]
+    data = wire_bytes(*frames)
+
+    def trickle():
+        for i in range(len(data)):
+            raw.sendall(data[i : i + 1])
+        raw.close()
+
+    sender = threading.Thread(target=trickle)
+    sender.start()
+    try:
+        got = [conn.recv_frame() for _ in frames]
+        assert conn.recv_frame() is None
+    finally:
+        sender.join(timeout=10)
+        conn.close()
+    assert not sender.is_alive()
+    assert got == frames
+    assert counting.recv_calls == len(data) + 1  # every byte, then EOF
+    assert conn.receive_buffer_allocations == 1
+
+
+def test_a_frame_crossing_the_buffer_end_moves_to_the_start():
+    raw, conn, counting = counted_pair(buffer_bytes=1024)
+    first = Frame(FrameType.TAGGED_MSG, Tag(1, 0), body=b"a" * 600)
+    second = Frame(FrameType.TAGGED_MSG, Tag(2, 0), body=bytes(range(200)) * 3)
+    try:
+        raw.sendall(wire_bytes(first, second))
+        buf = conn._buf
+        assert conn.recv_frame() == first  # the read also took 402 bytes of second
+        assert counting.recv_calls == 1
+        assert conn.recv_frame() == second
+        assert counting.recv_calls == 2
+        assert conn._buf is buf
+        assert conn.receive_buffer_allocations == 1
+    finally:
+        raw.close()
+        conn.close()
+
+
+def test_frames_of_exactly_the_buffer_size():
+    raw, conn, _ = counted_pair(buffer_bytes=1024)
+    full = 1024 - HEADER_BYTES
+    frames = [
+        Frame(FrameType.TAGGED_MSG, Tag(1, 0), body=b"a" * full),
+        Frame(FrameType.TAGGED_MSG, Tag(2, 0), body=b"b" * full),
+        Frame(FrameType.PING, Tag(3, 0)),
+        Frame(FrameType.TAGGED_MSG, Tag(4, 0), body=b"c" * full),  # after a partial
+    ]
+    try:
+        raw.sendall(wire_bytes(*frames))
+        raw.close()
+        assert [conn.recv_frame() for _ in frames] == frames
+        assert conn.recv_frame() is None
+        assert conn.receive_buffer_allocations == 1
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        b"\x08\x00\x00",  # 3 bytes of a 22-byte header
+        struct.pack("<BBqIII", FrameType.TAGGED_MSG, 0, 0, 0, 0, 10) + b"abcd",
+    ],
+    ids=["mid-header", "mid-body"],
+)
+def test_eof_mid_frame_after_a_whole_frame(tail):
+    raw, conn, counting = counted_pair()
+    whole = Frame(FrameType.PING, Tag(5, 0), body=b"ok")
+    try:
+        raw.sendall(wire_bytes(whole) + tail)
+        raw.close()
+        assert conn.recv_frame() == whole
+        with pytest.raises(FrameProtocolError):
+            conn.recv_frame()
+        assert conn.receive_buffer_allocations == 1
+    finally:
+        conn.close()
+
+
+def test_oversize_declared_body_after_a_whole_frame():
+    raw, conn, _ = counted_pair(buffer_bytes=1024)
+    whole = Frame(FrameType.PING, Tag(5, 0))
+    oversize = struct.pack("<BBqIII", FrameType.TAGGED_MSG, 0, 0, 0, 0, 1024 - 21)
+    try:
+        raw.sendall(wire_bytes(whole) + oversize)
+        assert conn.recv_frame() == whole
+        with pytest.raises(OversizeFrameError):
+            conn.recv_frame()
+        assert conn.receive_buffer_allocations == 1
+    finally:
+        raw.close()
+        conn.close()
