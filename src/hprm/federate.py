@@ -367,7 +367,7 @@ class Federate:
         ref: ObjectRef | None = None
         body: bytes | None = None
         if self._store is not None and inline_size > self.config.inline_threshold:
-            ref = self._store_payload(payload)
+            ref = self._store_payload(payload, sum(e.dst != self.fid for e in edges))
         if ref is None:
             if inline_size > self.config.inline_threshold:
                 raise DeliveryError(
@@ -416,15 +416,18 @@ class Federate:
                 unacked -= 1
         self._unacked[dst] = unacked + 1
 
-    def _store_payload(self, payload: SerializedPayload) -> ObjectRef | None:
+    def _store_payload(self, payload: SerializedPayload, reads: int) -> ObjectRef | None:
+        """Write ``payload`` into a new store object sealed for ``reads``
+        gets, one per OBJ_REF frame about to be sent, so the store
+        recycles it once they are done.  The mapping closes first."""
         layout = build_layout(payload)
         try:
             obj = self._store.create(layout.total_bytes)
             obj.write(0, layout.header)
             for span, seg in zip(layout.segment_spans, payload.segments):
                 obj.write(span[0], seg)
-            obj.seal()
             obj.close()
+            obj.seal(reads)
         except Exception as exc:
             log.warning("object store rejected payload (%s); falling back", exc)
             return None
@@ -810,38 +813,47 @@ class Federate:
     def _execute_batch(self, batch: list[_Queued]) -> None:
         try:
             for item in batch:
-                value = self._materialize(item)
-                event = Event(item.tag, item.port, value)
-                now = self.clock.now_ns()
-                lateness = now - item.tag.time
-                for reaction in self._reactions.get(item.port, ()):
-                    ctx = ReactionContext(self, event, value, lateness)
-                    if (
-                        reaction.deadline_ns is not None
-                        and lateness > reaction.deadline_ns
-                    ):
-                        self.deadline_misses += 1
-                        if reaction.on_deadline_miss is not None:
-                            reaction.on_deadline_miss(ctx)
-                        else:
-                            log.warning(
-                                "%s: deadline missed at %r by %d ns",
-                                self.fid,
-                                item.tag,
-                                lateness - reaction.deadline_ns,
-                            )
-                    else:
-                        reaction.handler(ctx)
+                self._react(item)
         finally:
             for item in batch:
-                if item.sealed is not None:
-                    item.sealed.release()
+                self._release(item)
             with self._lock:
                 self._executing = False
                 self._completed = self._current
                 self.executed_tags.append(self._current)
                 self._report_progress_locked()
                 self._cond.notify_all()
+
+    def _react(self, item: _Queued) -> None:
+        """Run the reactions to one event.  Its value, event and contexts
+        live in this frame only, so they are gone once it returns."""
+        value = self._materialize(item)
+        event = Event(item.tag, item.port, value)
+        lateness = self.clock.now_ns() - item.tag.time
+        for reaction in self._reactions.get(item.port, ()):
+            ctx = ReactionContext(self, event, value, lateness)
+            if reaction.deadline_ns is not None and lateness > reaction.deadline_ns:
+                self.deadline_misses += 1
+                if reaction.on_deadline_miss is not None:
+                    reaction.on_deadline_miss(ctx)
+                else:
+                    log.warning(
+                        "%s: deadline missed at %r by %d ns",
+                        self.fid,
+                        item.tag,
+                        lateness - reaction.deadline_ns,
+                    )
+            else:
+                reaction.handler(ctx)
+
+    @staticmethod
+    def _release(item: _Queued) -> None:
+        """Unpin a store payload.  Its views go first, so that the mapping
+        can close and the store recycle the object; a view that a
+        reaction kept leaves the object cached until evicted."""
+        if item.sealed is not None:
+            item.payload = None
+            item.sealed.release()
 
     def _handle_violation(self, item: _Queued, lateness_ns: int) -> None:
         value = self._materialize(item)
@@ -853,6 +865,7 @@ class Federate:
                     ReactionContext(self, event, value, lateness_ns)
                 )
                 handled = True
+        del value, event  # so that the store mapping can close
         if not handled:
             log.warning(
                 "%s: dropped event at %r (late by %d ns)",
@@ -860,8 +873,7 @@ class Federate:
                 item.tag,
                 lateness_ns,
             )
-        if item.sealed is not None:
-            item.sealed.release()
+        self._release(item)
 
     # -- shutdown ----------------------------------------------------------------------------
 

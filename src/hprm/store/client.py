@@ -3,10 +3,14 @@
 The client sends lifecycle requests over the control socket and maps the
 segment descriptor that a CREATE or GET reply carries, closing it once
 mapped, so reads and writes of object bytes happen directly against
-shared memory.  The client keeps two counters, ``write_passes`` and
-``bytes_written``, that tally every pass over payload bytes made through
-:meth:`WritableObject.write`; the zero-copy accounting checks in the
-benchmark suite are built on them.
+shared memory.  A seal may declare how many gets the object will see,
+and a release first tries to close its mapping and tells the daemon
+whether that worked: the daemon recycles an object after its last
+expected read only when no view of it is left open, so a view kept past
+its release stays valid until the object is evicted.  The client keeps
+two counters, ``write_passes`` and ``bytes_written``, that tally every
+pass over payload bytes made through :meth:`WritableObject.write`; the
+zero-copy accounting checks in the benchmark suite are built on them.
 """
 
 from __future__ import annotations
@@ -100,11 +104,14 @@ class _Mapped:
     def view(self) -> memoryview:
         return memoryview(self._mm)
 
-    def _unmap(self) -> None:
+    def _unmap(self) -> bool:
+        """Close the mapping; False while views keep it alive (GC then
+        reclaims it once they go)."""
         try:
             self._mm.close()
         except BufferError:
-            pass  # outstanding views keep the mapping alive; GC reclaims it
+            return False
+        return True
 
 
 class WritableObject(_Mapped):
@@ -122,8 +129,11 @@ class WritableObject(_Mapped):
         self.client.bytes_written += n
         return n
 
-    def seal(self) -> None:
-        self.client.seal(self.oid)
+    def seal(self, reads: int = 0) -> None:
+        """Make the object readable.  ``reads`` > 0 declares the gets it
+        will see, after which the daemon may recycle it: close this
+        mapping first."""
+        self.client.seal(self.oid, reads)
 
     def close(self) -> None:
         self._unmap()
@@ -141,12 +151,13 @@ class SealedObject(_Mapped):
     _released = False
 
     def release(self) -> None:
-        """Drop the pin.  The mapping itself survives any live views."""
+        """Close the mapping, then drop the pin, reporting whether the
+        close worked.  A mapping with live views survives, and its
+        object then stays cached until evicted."""
         if self._released:
             return
         self._released = True
-        self.client.release(self.oid)
-        self._unmap()
+        self.client.release(self.oid, self._unmap())
 
     def __enter__(self) -> "SealedObject":
         return self
@@ -232,11 +243,11 @@ class StoreClient:
         )
         return SealedObject(self, oid, value, fd)
 
-    def seal(self, oid: bytes) -> None:
-        self._request(wire.Op.SEAL, oid)
+    def seal(self, oid: bytes, reads: int = 0) -> None:
+        self._request(wire.Op.SEAL, oid, reads)
 
-    def release(self, oid: bytes) -> None:
-        self._request(wire.Op.RELEASE, oid)
+    def release(self, oid: bytes, unmapped: bool = False) -> None:
+        self._request(wire.Op.RELEASE, oid, int(unmapped))
 
     def stats(self) -> dict:
         _, blob, _ = self._request(wire.Op.STATS, bytes(ID_BYTES))

@@ -10,14 +10,19 @@ the CREATE or GET reply.  No file is named, so a daemon that dies, even
 by SIGKILL, leaves nothing behind but its socket path.  Dead objects'
 segments go into a reuse pool, oldest closed first, whose bytes never
 exceed the free bytes, so live plus pooled memory stays within capacity.
-A create takes a pooled segment of the same page count, if there is
-one: its pages are already faulted in, which skips the kernel's
-zero-fill.
+An object dies when it is evicted, or when it is retired after its last
+expected read: SEAL declares how many gets it will see, and the RELEASE
+that ends the last of them, with every reader's mapping reported closed,
+moves its segment straight into the pool.  A create takes a pooled
+segment of the same page count, if there is one: its pages are already
+faulted in, which skips the kernel's zero-fill.
 
 Pins protect readers: only sealed objects with zero references are ever
-evicted.  A mapping kept past its release stays valid and may observe
-recycled contents.  It never faults: a recycled segment keeps its page
-count, so every page a mapping covers stays inside the segment.
+evicted.  A release whose mapping is still open keeps its object cached
+until LRU eviction, so a mapping kept past its release stays valid until
+then, and afterwards may observe recycled contents.  It never faults: a
+recycled segment keeps its page count, so every page a mapping covers
+stays inside the segment.
 
 GET requests for objects that are unknown or not yet sealed are parked
 until the object is sealed or the request's deadline passes, so a reader
@@ -171,7 +176,7 @@ class StoreDaemon:
             conn.creating.add(oid)
             self._respond(conn, Status.OK, arg, fd=fd)
         elif op == wire.Op.SEAL:
-            status = self.state.seal(oid)
+            status = self.state.seal(oid, arg)
             if status is Status.OK:
                 conn.creating.discard(oid)
                 self._wake_parked(oid)
@@ -184,13 +189,15 @@ class StoreDaemon:
                 deadline = time.monotonic_ns() + arg
                 self._parked.append(_Parked(oid, conn, deadline))
         elif op == wire.Op.RELEASE:
-            status = self.state.release(oid)
+            status = self.state.release(oid, unmapped=arg == 1)
             if status is Status.OK:
                 left = conn.refs.get(oid, 0) - 1
                 if left > 0:
                     conn.refs[oid] = left
                 else:
                     conn.refs.pop(oid, None)
+                if oid not in self.state:  # its last expected read
+                    self._retire([oid])
             self._respond(conn, status)
         elif op == wire.Op.STATS:
             blob = json.dumps(self.state.stats()).encode()

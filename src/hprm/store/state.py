@@ -6,8 +6,14 @@ thousands of lifecycle interleavings without touching real memory.
 
 Lifecycle: an object is *created* (capacity reserved, writable),
 *sealed* (immutable, readable), then *pinned* by readers via get/release
-refcounts.  Only sealed objects with zero references may be evicted.
-Eviction is bulk and least-recently-used: one pass frees at least
+refcounts.  A seal may declare how many gets its publisher will cause.
+Such an object is *retired after its last expected read*: it is removed
+as soon as those gets are used up, no pin is left, and every release
+reported its mapping closed.  A release that left a view open, or a seal
+that declared no reads, leaves the object cached until eviction.
+
+Only sealed objects with zero references may be evicted.  Eviction is
+bulk and least-recently-used: one pass frees at least
 ``max(bytes_needed, eviction_fraction * capacity)`` when that much is
 reclaimable, so a burst of large creates doesn't pay the eviction dance
 per object.
@@ -41,6 +47,7 @@ class StoreCounters:
     releases: int = 0
     evictions: int = 0
     bytes_evicted: int = 0
+    recycled: int = 0
 
 
 @dataclass
@@ -50,6 +57,9 @@ class _Entry:
     sealed: bool = False
     refcount: int = 0
     last_access: int = 0
+    # Gets still expected before the object retires; None while unknown,
+    # which leaves it cached until evicted.
+    reads_left: int | None = None
 
 
 @dataclass(frozen=True)
@@ -115,13 +125,16 @@ class StoreState:
         self.counters.creates += 1
         return CreateResult(Status.OK, evicted)
 
-    def seal(self, oid: bytes) -> Status:
+    def seal(self, oid: bytes, reads: int = 0) -> Status:
+        """Make an object readable.  ``reads`` is the number of gets it
+        will see; 0 means unknown, and the object stays until evicted."""
         entry = self._entries.get(oid)
         if entry is None:
             return Status.UNKNOWN_ID
         if entry.sealed:
             return Status.ALREADY_SEALED
         entry.sealed = True
+        entry.reads_left = reads or None
         self._touch(entry)
         self.counters.seals += 1
         return Status.OK
@@ -132,11 +145,17 @@ class StoreState:
         if entry is None or not entry.sealed:
             return Status.PENDING, 0
         entry.refcount += 1
+        if entry.reads_left:
+            entry.reads_left -= 1
         self._touch(entry)
         self.counters.gets += 1
         return Status.OK, entry.size
 
-    def release(self, oid: bytes) -> Status:
+    def release(self, oid: bytes, unmapped: bool = False) -> Status:
+        """Drop one pin.  ``unmapped`` says the reader's mapping is closed;
+        a release that left it open keeps the object until evicted.  The
+        release of the last expected read removes the object, and the
+        caller owns reclaiming its backing storage."""
         entry = self._entries.get(oid)
         if entry is None:
             return Status.UNKNOWN_ID
@@ -144,6 +163,12 @@ class StoreState:
             return Status.NO_REFS
         entry.refcount -= 1
         self.counters.releases += 1
+        if not unmapped:
+            entry.reads_left = None
+        elif entry.reads_left == 0 and entry.refcount == 0:
+            del self._entries[oid]
+            self._occupancy -= entry.size
+            self.counters.recycled += 1
         return Status.OK
 
     def drop(self, oid: bytes) -> Status:

@@ -107,9 +107,6 @@ class Topology:
     def outputs_of(self, federate: str) -> tuple[Connection, ...]:
         return tuple(self._out_edges.get(federate, ()))
 
-    def upstream_ids(self, federate: str) -> tuple[str, ...]:
-        return tuple(sorted({c.src for c in self.inputs_of(federate)}))
-
     def downstream_ids(self, federate: str) -> tuple[str, ...]:
         return tuple(sorted({c.dst for c in self.outputs_of(federate)}))
 

@@ -755,6 +755,41 @@ def test_store_fan_out_shares_one_object(store):
     assert stats["gets"] == 2
 
 
+def test_fan_out_recycles_every_object_once_read(tmp_path):
+    """Forty 1 MiB payloads to two readers through a store that holds
+    fifteen: each object is recycled once both readers are done with it,
+    so the store never evicts."""
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=16 * 2**20).start()
+    topo = Topology.build(
+        ["pub", "s1", "s2"],
+        [
+            Connection("pub", "out", "s1", "in", Delay(0)),
+            Connection("pub", "out", "s2", "in", Delay(0)),
+        ],
+    )
+    pub = Federate(FederateConfig(fid="pub", store_path=daemon.socket_path), topo)
+    subs = [
+        Federate(FederateConfig(fid=f, store_path=daemon.socket_path), topo)
+        for f in ("s1", "s2")
+    ]
+    got = {"s1": [], "s2": []}
+    pub.on("tick", lambda ctx: ctx.publish("out", np.full(2**17, ctx.value)))
+    for sub in subs:
+        sub.on("in", lambda ctx, fid=sub.fid: got[fid].append(ctx.value[0]))
+    try:
+        results = run_federation(
+            topo, [pub, *subs],
+            lambda f, s: schedule_ramp(f, s, 40) if f.fid == "pub" else None,
+        )
+        stats = daemon.state.stats()
+    finally:
+        daemon.stop()
+    assert all(isinstance(r, RunSummary) for r in results.values()), results
+    assert got == {fid: [float(i) for i in range(40)] for fid in got}
+    assert stats["creates"] == 40 and stats["gets"] == stats["releases"] == 80
+    assert stats["evictions"] == 0 and stats["recycled"] == 40
+
+
 def test_small_payloads_skip_the_store(store):
     topo = pipeline("pub", "sub")
     pub = Federate(FederateConfig(fid="pub", store_path=store.socket_path), topo)
@@ -776,7 +811,8 @@ def test_publisher_waits_for_a_slow_reader(tmp_path, monkeypatch):
     """The reader pins each object 30 ms after its reference arrives; the
     publisher creates one per millisecond into a store that holds 23.  It
     keeps at most OBJ_WINDOW references unacknowledged, so no object is
-    evicted before its reader pins it."""
+    evicted before its reader pins it.  The reader keeps every array, so
+    no object is recycled on release and the store has to evict."""
 
     class SlowGets(StoreClient):
         def get(self, oid, timeout_ns=None):
@@ -793,9 +829,14 @@ def test_publisher_waits_for_a_slow_reader(tmp_path, monkeypatch):
         ),
         topo,
     )
-    got = []
+    got, kept = [], []
     pub.on("tick", lambda ctx: ctx.publish("out", np.full(2**17, ctx.value)))
-    sub.on("in", lambda ctx: got.append(ctx.value[0]))
+
+    def keep(ctx):
+        got.append(ctx.value[0])
+        kept.append(ctx.value)
+
+    sub.on("in", keep)
     try:
         results = run_federation(
             topo, [pub, sub],
@@ -851,7 +892,8 @@ def test_slow_subscriber_never_pins_more_than_half_the_store(tmp_path):
 
 def test_a_late_store_payload_leaves_no_pin_counted(store):
     """Decentralized: a store payload lands below a tag already run, so it
-    takes the violation path, which unpins it and never counts it."""
+    takes the violation path, which unpins it, never counts it, and lets
+    the store recycle it."""
     topo = pipeline("pub", "sub")
     pub = Federate(
         FederateConfig(fid="pub", mode=DECENTRALIZED, store_path=store.socket_path),
@@ -889,7 +931,7 @@ def test_a_late_store_payload_leaves_no_pin_counted(store):
     assert results["sub"].stp_violations == 1 and len(late) == 1
     assert sub._pinned_bytes == 0
     stats = store.state.stats()
-    assert stats["releases"] == stats["gets"] == 1
+    assert stats["releases"] == stats["gets"] == stats["recycled"] == 1
 
 
 def test_shutdown_does_not_wait_behind_a_parked_get(store):
