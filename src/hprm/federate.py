@@ -63,7 +63,7 @@ from hprm.serde import (
     payload_from_spans,
     serialize,
 )
-from hprm.store import ObjectRef, SealedObject, StoreClient, StoreError
+from hprm.store import ObjectRef, SealedObject, Status, StoreClient, StoreError
 from hprm.tags import FOREVER, NEVER, Tag, bound_tag, delay_tag
 from hprm.topology import Topology
 from hprm.transport import (
@@ -148,7 +148,6 @@ class FederateConfig:
     inline_threshold: int = DEFAULT_INLINE_THRESHOLD
     connection: ConnectionOptions = field(default_factory=ConnectionOptions)
     connect_retry_s: float = 10.0
-    store_get_timeout_ns: int = 10_000_000_000
 
     def __post_init__(self) -> None:
         if self.mode not in (CENTRALIZED, DECENTRALIZED):
@@ -277,10 +276,7 @@ class Federate:
         self._peers_out: dict[str, FrameConnection] = {}
         self._peers_in: list[FrameConnection] = []
         self._threads: list[threading.Thread] = []
-        self._store: StoreClient | None = None
-        # Per-reader store clients; pins release through them after the
-        # reader exits, so they close at shutdown (see _peer_reader).
-        self._reader_stores: list[StoreClient] = []
+        self._store: StoreClient | None = None  # publishes, gets and releases
         self._pin_budget = 0  # bytes queued events may pin; see _dispatch_peer_frame
         self._pinned_bytes = 0  # bytes pinned by the events in _queue
         self._unacked: dict[str, int] = {}  # OBJ_REF frames per reader
@@ -352,29 +348,30 @@ class Federate:
         """Send a value from the executing tag down every matching connection.
 
         Large payloads go through the object store (one shared object for
-        the whole fan-out); small ones travel inline.  A store reference
-        waits until its reader has acknowledged all but ``OBJ_WINDOW - 1``
-        earlier ones.  Returns the number of deliveries."""
+        the whole fan-out); small ones travel inline.  Self-loop edges take
+        ``value`` itself, so a payload is built only for remote edges.  A
+        store reference waits until its reader has acknowledged all but
+        ``OBJ_WINDOW - 1`` earlier ones.  Returns the number of deliveries."""
         with self._lock:
             if not self._executing:
                 raise FederateError("publish is only legal inside a reaction")
             current = self._current
         edges = [c for c in self._out_edges if c.src_port == port]
-        if not edges:
-            return 0
-        payload = serialize(value)
-        inline_size = payload.total_bytes()
-        ref: ObjectRef | None = None
-        body: bytes | None = None
-        if self._store is not None and inline_size > self.config.inline_threshold:
-            ref = self._store_payload(payload, sum(e.dst != self.fid for e in edges))
-        if ref is None:
-            if inline_size > self.config.inline_threshold:
+        remote = sum(e.dst != self.fid for e in edges)
+        frame_type = body = None
+        if remote:
+            payload = serialize(value)
+            inline_size = payload.total_bytes()
+            if inline_size <= self.config.inline_threshold:
+                frame_type, body = FrameType.TAGGED_MSG, encode_payload(payload)
+            elif self._store is None:
                 raise DeliveryError(
                     f"{inline_size}-byte payload exceeds the inline threshold "
                     "and no object store is configured"
                 )
-            body = encode_payload(payload)
+            else:
+                frame_type = FrameType.OBJ_REF
+                body = self._store_payload(payload, remote).encode()
         delivered = 0
         for edge in edges:
             out_tag = delay_tag(current, edge.delay)
@@ -386,15 +383,12 @@ class Federate:
                 delivered += 1
                 continue
             port_id = self.topology.port_number(edge.dst, edge.dst_port)
-            if ref is not None:
-                frame = Frame(FrameType.OBJ_REF, out_tag, port_id, ref.encode())
-            else:
-                frame = Frame(FrameType.TAGGED_MSG, out_tag, port_id, body)
+            frame = Frame(frame_type, out_tag, port_id, body)
             conn = self._peers_out.get(edge.dst)
             if conn is None:
                 raise DeliveryError(f"no connection to {edge.dst!r}")
             try:
-                if ref is not None:
+                if frame_type == FrameType.OBJ_REF:
                     self._await_ack(edge.dst, conn)
                 conn.send_frame(frame)
             except (TransportError, OSError) as exc:
@@ -416,7 +410,7 @@ class Federate:
                 unacked -= 1
         self._unacked[dst] = unacked + 1
 
-    def _store_payload(self, payload: SerializedPayload, reads: int) -> ObjectRef | None:
+    def _store_payload(self, payload: SerializedPayload, reads: int) -> ObjectRef:
         """Write ``payload`` into a new store object sealed for ``reads``
         gets, one per OBJ_REF frame about to be sent, so the store
         recycles it once they are done.  The mapping closes first."""
@@ -428,9 +422,10 @@ class Federate:
                 obj.write(span[0], seg)
             obj.close()
             obj.seal(reads)
-        except Exception as exc:
-            log.warning("object store rejected payload (%s); falling back", exc)
-            return None
+        except (StoreError, OSError) as exc:
+            raise DeliveryError(
+                f"{self.fid}: storing a {layout.total_bytes}-byte payload: {exc}"
+            ) from exc
         return ObjectRef(
             obj.oid,
             layout.total_bytes,
@@ -538,16 +533,9 @@ class Federate:
 
     def _peer_reader(self, conn: FrameConnection, src: str) -> None:
         _elevate_io_thread()
-        store = StoreClient(self.config.store_path) if self.config.store_path else None
-        if store is not None:
-            # The executor releases pins through this client long after
-            # the connection EOFs, so it closes at shutdown, not here;
-            # dropping it early would let the daemon recycle segments
-            # that queued payloads still map.
-            self._reader_stores.append(store)
         try:
             while (frame := conn.recv_frame()) is not None:
-                self._dispatch_peer_frame(conn, src, store, frame)
+                self._dispatch_peer_frame(conn, src, frame)
         except (TransportError, OSError, ValueError) as exc:
             log.warning("%s: inbound connection from %s failed: %s", self.fid, src, exc)
         finally:
@@ -558,11 +546,7 @@ class Federate:
                 self._cond.notify_all()
 
     def _dispatch_peer_frame(
-        self,
-        conn: FrameConnection,
-        src: str,
-        store: StoreClient | None,
-        frame: Frame,
+        self, conn: FrameConnection, src: str, frame: Frame
     ) -> None:
         if frame.type == FrameType.NET:
             with self._lock:
@@ -576,7 +560,9 @@ class Federate:
         elif frame.type == FrameType.OBJ_REF:
             ref = ObjectRef.decode(frame.body)
             try:
-                sealed = store.get(ref.oid, self.config.store_get_timeout_ns)
+                if self._store is None:
+                    raise StoreError(Status.BAD_REQUEST, "no object store is configured")
+                sealed = self._store.get(ref.oid)
             except (StoreError, OSError) as exc:
                 # The message is lost: fail the run rather than carry on
                 # without it.  It did arrive, so count it and report, or
@@ -889,9 +875,9 @@ class Federate:
     def _shutdown(self, status: str) -> None:
         with self._lock:
             self._finished = True
-            # Queued pins belong to the readers' store sessions, which
-            # close below: the daemon releases a dropped session's pins.
-            # Releasing them here would wait behind a reader's parked get.
+            # Queued pins belong to the store session, which closes
+            # below: the daemon releases a dropped session's pins, so
+            # shutdown sends no release of its own.
             self._queue.clear()
             self._pinned_bytes = 0
         if self._rti is not None:
@@ -908,6 +894,4 @@ class Federate:
             conn.close()
         if self._store is not None:
             self._store.close()
-        for store in self._reader_stores:
-            store.close()
         log.debug("%s shut down (%s)", self.fid, status)

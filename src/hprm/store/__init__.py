@@ -1,15 +1,21 @@
 """Shared-memory object store.
 
-A small daemon owns one anonymous memfd segment per object and
-arbitrates their lifecycle (create, seal, get, release, then retirement
-after the last expected read or LRU eviction); clients map the segments
-it hands them as descriptors, so object bytes cross process boundaries
-without ever being copied through a socket.  A seal may declare how many
-gets the object will see; once those readers have released it with
-their mappings closed, its segment is recycled at once.  A view kept
-past its release keeps the object cached until evicted.  Dead segments
-are pooled within the store's free bytes, and no file is ever named, so
-a crashed daemon leaves nothing behind but its socket.
+A small daemon (:mod:`hprm.store.daemon`, started as ``hprm-store`` or
+``python -m hprm.store.daemon``) owns one anonymous memfd segment per
+object and arbitrates their lifecycle (create, seal, get, release, then
+retirement after the last expected read or LRU eviction); clients map
+the segments it hands them as descriptors, so object bytes cross process
+boundaries without ever being copied through a socket.  A seal may
+declare how many gets the object will see; once those readers have
+released it with their mappings closed, its segment is recycled at once.
+A view kept past its release keeps the object cached until evicted.
+
+The daemon answers every request at once: a get of an object that is
+gone or not yet sealed fails rather than waits, and a client waits at
+most ``REPLY_TIMEOUT_S`` for any reply.  A federate holds one session
+for its publishes, gets and releases.  Dead segments are pooled within
+the store's free bytes, and no file is ever named, so a crashed daemon
+leaves nothing behind but its socket.
 """
 
 from hprm.store.client import (
@@ -18,11 +24,9 @@ from hprm.store.client import (
     SealedObject,
     StoreClient,
     StoreError,
-    StoreTimeout,
     WritableObject,
     random_object_id,
 )
-from hprm.store.daemon import StoreDaemon
 from hprm.store.state import Status, StoreCounters, StoreState
 
 __all__ = [
@@ -30,9 +34,7 @@ __all__ = [
     "ObjectRef",
     "SealedObject",
     "StoreClient",
-    "StoreDaemon",
     "StoreError",
-    "StoreTimeout",
     "Status",
     "StoreCounters",
     "StoreState",

@@ -24,9 +24,10 @@ then, and afterwards may observe recycled contents.  It never faults: a
 recycled segment keeps its page count, so every page a mapping covers
 stays inside the segment.
 
-GET requests for objects that are unknown or not yet sealed are parked
-until the object is sealed or the request's deadline passes, so a reader
-may ask for an object slightly before its writer finishes.
+Every request is answered at once.  A GET of an object that is unknown
+(never created, evicted, or retired) or not yet sealed fails with
+``UNKNOWN_ID`` or ``NOT_SEALED``: a publisher seals before it sends the
+reference, so waiting could only turn a lost message into a stall.
 
 A connection that drops is cleaned up: pins it still held are released
 and unsealed objects it created are deleted, so a crashed client cannot
@@ -43,7 +44,6 @@ import selectors
 import signal
 import socket
 import threading
-import time
 from pathlib import Path
 
 from hprm.store import wire
@@ -65,15 +65,6 @@ class _Conn:
         self.creating: set[bytes] = set()
 
 
-class _Parked:
-    __slots__ = ("oid", "conn", "deadline_ns")
-
-    def __init__(self, oid: bytes, conn: _Conn, deadline_ns: int):
-        self.oid = oid
-        self.conn = conn
-        self.deadline_ns = deadline_ns
-
-
 class StoreDaemon:
     def __init__(
         self,
@@ -81,11 +72,10 @@ class StoreDaemon:
         capacity_bytes: int = DEFAULT_CAPACITY,
         *,
         directory: str | Path | None = None,
-        eviction_fraction: float = 0.2,
     ):
         # ``directory`` is ignored (segments are anonymous); perfbench still passes it.
         self.socket_path = Path(socket_path)
-        self.state = StoreState(capacity_bytes, eviction_fraction=eviction_fraction)
+        self.state = StoreState(capacity_bytes)
         self.socket_path.unlink(missing_ok=True)
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._listener.bind(str(self.socket_path))
@@ -95,7 +85,6 @@ class StoreDaemon:
         self._selector.register(self._listener, selectors.EVENT_READ, "listener")
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         self._conns: dict[socket.socket, _Conn] = {}
-        self._parked: list[_Parked] = []
         self._segments: dict[bytes, tuple[int, int]] = {}  # oid -> (size, fd)
         self._pool: list[tuple[int, int]] = []  # (size, fd), oldest first
         self._stopping = False
@@ -151,11 +140,6 @@ class StoreDaemon:
         except OSError:
             self._drop_conn(conn)
 
-    def _grant(self, conn: _Conn, oid: bytes, size: int) -> None:
-        """Reply to a GET that pinned ``oid``."""
-        conn.refs[oid] = conn.refs.get(oid, 0) + 1
-        self._respond(conn, Status.OK, size, fd=self._segments[oid][1])
-
     def _handle_request(self, conn: _Conn, op: int, oid: bytes, arg: int) -> None:
         if op == wire.Op.CREATE:
             result = self.state.create(oid, arg)
@@ -179,15 +163,14 @@ class StoreDaemon:
             status = self.state.seal(oid, arg)
             if status is Status.OK:
                 conn.creating.discard(oid)
-                self._wake_parked(oid)
             self._respond(conn, status)
         elif op == wire.Op.GET:
             status, size = self.state.get(oid)
             if status is Status.OK:
-                self._grant(conn, oid, size)
+                conn.refs[oid] = conn.refs.get(oid, 0) + 1
+                self._respond(conn, status, size, fd=self._segments[oid][1])
             else:
-                deadline = time.monotonic_ns() + arg
-                self._parked.append(_Parked(oid, conn, deadline))
+                self._respond(conn, status)
         elif op == wire.Op.RELEASE:
             status = self.state.release(oid, unmapped=arg == 1)
             if status is Status.OK:
@@ -205,30 +188,6 @@ class StoreDaemon:
         else:
             self._respond(conn, Status.BAD_REQUEST)
 
-    def _wake_parked(self, oid: bytes) -> None:
-        still_parked = []
-        for p in self._parked:
-            if p.oid != oid:
-                still_parked.append(p)
-                continue
-            status, size = self.state.get(oid)
-            if status is Status.OK:
-                self._grant(p.conn, oid, size)
-            else:
-                self._respond(p.conn, Status(status))
-        # _respond may have dropped a connection (and pruned its parked
-        # entries); keep only entries whose connection is still live.
-        self._parked = [p for p in still_parked if p.conn.sock in self._conns]
-
-    def _expire_parked(self, now_ns: int) -> None:
-        still_parked = []
-        for p in self._parked:
-            if now_ns >= p.deadline_ns:
-                self._respond(p.conn, Status.TIMEOUT)
-            else:
-                still_parked.append(p)
-        self._parked = [p for p in still_parked if p.conn.sock in self._conns]
-
     def _drop_conn(self, conn: _Conn) -> None:
         if conn.sock not in self._conns:
             return
@@ -238,7 +197,6 @@ class StoreDaemon:
         except (KeyError, ValueError):
             pass
         conn.sock.close()
-        self._parked = [p for p in self._parked if p.conn is not conn]
         for oid, count in conn.refs.items():
             for _ in range(count):
                 self.state.release(oid)
@@ -249,13 +207,6 @@ class StoreDaemon:
 
     # -- the loop ------------------------------------------------------------
 
-    def _loop_timeout(self) -> float | None:
-        if not self._parked:
-            return None
-        now = time.monotonic_ns()
-        soonest = min(p.deadline_ns for p in self._parked)
-        return max(0.0, (soonest - now) / 1e9)
-
     def run(self) -> None:
         log.info(
             "store daemon serving %s (capacity %d bytes)",
@@ -264,9 +215,7 @@ class StoreDaemon:
         )
         try:
             while not self._stopping:
-                events = self._selector.select(self._loop_timeout())
-                self._expire_parked(time.monotonic_ns())
-                for key, _mask in events:
+                for key, _mask in self._selector.select():
                     if key.data == "wake":
                         self._wake_r.recv(4096)
                     elif key.data == "listener":
@@ -335,18 +284,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--socket", required=True, help="control socket path")
     parser.add_argument("--capacity-bytes", type=int, default=DEFAULT_CAPACITY)
-    parser.add_argument("--eviction-fraction", type=float, default=0.2)
     parser.add_argument("--log-level", default="INFO")
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=args.log_level.upper(),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    daemon = StoreDaemon(
-        args.socket,
-        args.capacity_bytes,
-        eviction_fraction=args.eviction_fraction,
-    )
+    daemon = StoreDaemon(args.socket, args.capacity_bytes)
     signal.signal(signal.SIGTERM, lambda *_: daemon.request_stop())
     signal.signal(signal.SIGINT, lambda *_: daemon.request_stop())
     daemon.run()

@@ -6,8 +6,11 @@ thousands of lifecycle interleavings without touching real memory.
 
 Lifecycle: an object is *created* (capacity reserved, writable),
 *sealed* (immutable, readable), then *pinned* by readers via get/release
-refcounts.  A seal may declare how many gets its publisher will cause.
-Such an object is *retired after its last expected read*: it is removed
+refcounts.  A get never waits: an absent object is ``UNKNOWN_ID`` and an
+unsealed one ``NOT_SEALED``, because a publisher seals before it sends
+the reference: a get that finds no sealed object finds one that is gone.
+A seal may declare how many gets its publisher will cause.  Such an
+object is *retired after its last expected read*: it is removed
 as soon as those gets are used up, no pin is left, and every release
 reported its mapping closed.  A release that left a view open, or a seal
 that declared no reads, leaves the object cached until eviction.
@@ -27,12 +30,10 @@ from enum import IntEnum
 
 class Status(IntEnum):
     OK = 0
-    PENDING = 1        # not ready yet; the caller may wait
     DUPLICATE_ID = 2
     UNKNOWN_ID = 3
     TOO_LARGE = 4
     STORE_FULL = 5
-    TIMEOUT = 6
     ALREADY_SEALED = 7
     NOT_SEALED = 8
     NO_REFS = 9
@@ -140,10 +141,12 @@ class StoreState:
         return Status.OK
 
     def get(self, oid: bytes) -> tuple[Status, int]:
-        """Pin a sealed object; PENDING means "not sealed (or not created) yet"."""
+        """Pin a sealed object and return its size."""
         entry = self._entries.get(oid)
-        if entry is None or not entry.sealed:
-            return Status.PENDING, 0
+        if entry is None:
+            return Status.UNKNOWN_ID, 0
+        if not entry.sealed:
+            return Status.NOT_SEALED, 0
         entry.refcount += 1
         if entry.reads_left:
             entry.reads_left -= 1

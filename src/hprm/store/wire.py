@@ -4,8 +4,8 @@ Control traffic carries only metadata -- object bytes go through the
 shared mappings -- so the protocol is deliberately tiny.  Requests are
 fixed 29 bytes: op u8 | object id (20 bytes) | u64 argument.  The
 argument is the size for CREATE, the number of gets the object will see
-for SEAL (0: unknown), the timeout for GET, and 1 for a RELEASE whose
-mapping is closed.  Responses are a fixed 11-byte prefix (status u8 |
+for SEAL (0: unknown), and 1 for a RELEASE whose mapping is closed; GET
+and STATS leave it 0.  Every request gets exactly one reply, at once.  Responses are a fixed 11-byte prefix (status u8 |
 u64 value | u16 blob length) followed by the blob.  An OK reply to
 CREATE or GET has no blob; it carries the object's memfd segment as one
 ``SCM_RIGHTS`` descriptor, sent in the same ``sendmsg`` as the prefix.
@@ -28,7 +28,7 @@ RESPONSE_PREFIX_BYTES = _RESPONSE_PREFIX.size  # 11
 class Op(IntEnum):
     CREATE = 1   # arg = object size in bytes
     SEAL = 2     # arg = gets the object will see; 0 = unknown
-    GET = 3      # arg = timeout in nanoseconds
+    GET = 3      # arg unused (0)
     RELEASE = 4  # arg = 1 if the releasing client's mapping is closed
     STATS = 5
 

@@ -12,7 +12,6 @@ import random
 import socket
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -26,11 +25,11 @@ from hprm.serde import build_layout, deserialize, payload_from_spans, serialize
 from hprm.store import (
     ObjectRef,
     StoreClient,
-    StoreDaemon,
     StoreError,
-    StoreTimeout,
     random_object_id,
 )
+from hprm.store import client as store_client
+from hprm.store.daemon import StoreDaemon
 from hprm.store.state import Status, StoreState
 from hprm.store import wire
 
@@ -71,11 +70,12 @@ def test_double_seal_rejected():
     assert s.seal(oid_of(1)) is Status.ALREADY_SEALED
 
 
-def test_get_before_seal_is_pending():
+def test_get_before_seal_is_not_sealed():
     s = StoreState(1000)
     s.create(oid_of(1), 10)
-    assert s.get(oid_of(1)) == (Status.PENDING, 0)
-    assert s.get(oid_of(9)) == (Status.PENDING, 0)  # never created
+    assert s.get(oid_of(1)) == (Status.NOT_SEALED, 0)
+    assert s.get(oid_of(9)) == (Status.UNKNOWN_ID, 0)  # never created
+    assert s.counters.gets == 0
 
 
 def test_release_without_reference_rejected():
@@ -245,8 +245,10 @@ class _Model:
         return Status.OK
 
     def get(self, oid):
-        if oid not in self.objects or not self.objects[oid][1]:
-            return Status.PENDING
+        if oid not in self.objects:
+            return Status.UNKNOWN_ID
+        if not self.objects[oid][1]:
+            return Status.NOT_SEALED
         self.objects[oid][2] += 1
         self.objects[oid][5] += 1
         self._stamp(oid)
@@ -390,59 +392,49 @@ def test_write_seal_get_round_trip(store):
         assert stats["releases"] == 1
 
 
-def test_get_parks_until_seal(store):
-    oid = random_object_id()
-    results = {}
-
-    def blocked_get():
-        with StoreClient(store.socket_path) as client:
-            t0 = time.monotonic()
-            with client.get(oid, timeout_ns=2_000_000_000) as sealed:
-                results["data"] = bytes(sealed.view)
-            results["waited"] = time.monotonic() - t0
-
-    getter = threading.Thread(target=blocked_get)
-    getter.start()
-    time.sleep(0.05)
-    with StoreClient(store.socket_path) as writer:
-        obj = writer.create(5, oid=oid)
-        obj.write(0, b"hello")
-        obj.seal()
-        obj.close()
-    getter.join(timeout=5)
-    assert results["data"] == b"hello"
-    assert 0.04 <= results["waited"] < 2.0
-
-
-def test_get_times_out_on_never_created_id(store):
+def test_get_of_an_unknown_or_unsealed_id_fails_at_once(store):
+    """A get never waits: a publisher seals before it sends a reference,
+    so an object that is not there is gone, and the reply says so."""
     with StoreClient(store.socket_path) as client:
-        t0 = time.monotonic()
-        with pytest.raises(StoreTimeout):
-            client.get(random_object_id(), timeout_ns=10_000_000)
-        assert time.monotonic() - t0 >= 0.01
+        unsealed = client.create(64)
+        for oid, status in (
+            (unsealed.oid, Status.NOT_SEALED),
+            (random_object_id(), Status.UNKNOWN_ID),
+        ):
+            t0 = time.monotonic()
+            with pytest.raises(StoreError) as err:
+                client.get(oid)
+            assert time.monotonic() - t0 < 0.1
+            assert err.value.status is status
+        unsealed.close()
+        assert client.stats()["gets"] == 0  # the session still answers
 
 
-def test_concurrent_parked_getters_all_wake(store):
-    oid = random_object_id()
-    seen = []
-
-    def getter():
-        with StoreClient(store.socket_path) as client:
-            with client.get(oid, timeout_ns=2_000_000_000) as sealed:
-                seen.append(bytes(sealed.view))
-
-    threads = [threading.Thread(target=getter) for _ in range(3)]
-    for t in threads:
-        t.start()
-    time.sleep(0.05)
-    with StoreClient(store.socket_path) as writer:
-        obj = writer.create(3, oid=oid)
-        obj.write(0, b"abc")
-        obj.seal()
-        obj.close()
-    for t in threads:
-        t.join(timeout=5)
-    assert seen == [b"abc", b"abc", b"abc"]
+def test_a_reply_that_never_comes_fails_and_closes_the_session(tmp_path, monkeypatch):
+    """A daemon that accepts and never answers: the request fails once
+    the reply bound passes, and the session is closed, so no later
+    request could read the late reply as its own."""
+    monkeypatch.setattr(store_client, "REPLY_TIMEOUT_S", 0.2)
+    with socket.socket(socket.AF_UNIX) as mute:
+        mute.bind(str(tmp_path / "mute.sock"))
+        mute.listen(1)
+        client = StoreClient(tmp_path / "mute.sock")
+        peer, _ = mute.accept()
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.stats()
+            assert 0.2 <= time.monotonic() - t0 < 2.0
+            peer.settimeout(2.0)
+            assert len(peer.recv(64)) == wire.REQUEST_BYTES
+            assert peer.recv(64) == b""  # the client hung up
+            t0 = time.monotonic()
+            with pytest.raises(OSError):
+                client.get(random_object_id())
+            assert time.monotonic() - t0 < 0.1
+        finally:
+            client.close()
+            peer.close()
 
 
 def test_duplicate_create_raises(store):
@@ -469,8 +461,8 @@ def test_evicted_object_mapping_survives(tmp_path):
             big = client.create(900)  # forces eviction of a
             big.close()
             assert bytes(view[:4]) == b"AAAA"  # evicted, still mapped
-            with pytest.raises(StoreTimeout):
-                client.get(a.oid, timeout_ns=10_000_000)
+            with pytest.raises(StoreError, match="UNKNOWN_ID"):
+                client.get(a.oid)
     finally:
         daemon.stop()
 
@@ -586,9 +578,22 @@ def test_descriptors_are_closed_after_each_cycle(store_process):
                 assert sealed.view[:16].tobytes() == bytes([i]) * 16
         with pytest.raises(StoreError):
             writer.create(64, oid=obj.oid)
-        with pytest.raises(StoreTimeout):
-            reader.get(random_object_id(), timeout_ns=1_000_000)
+        with pytest.raises(StoreError, match="UNKNOWN_ID"):
+            reader.get(random_object_id())
         assert len(os.listdir("/proc/self/fd")) == start
+
+
+def test_daemon_module_starts_without_a_runtime_warning():
+    """``python -m hprm.store.daemon`` (how the bench starts its stores)
+    must not find the module already imported by its package."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hprm.store.daemon", "--help"],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_killed_daemon_leaves_only_its_socket(tmp_path, store_process):
@@ -701,7 +706,8 @@ def test_view_kept_past_release_keeps_the_object_cached(tmp_path):
 
 _KEPT_VIEW_SCRIPT = """
 import sys
-from hprm.store import StoreClient, StoreDaemon
+from hprm.store import StoreClient
+from hprm.store.daemon import StoreDaemon
 
 KIB = 1024
 daemon = StoreDaemon(sys.argv[1], capacity_bytes=12 * KIB).start()
