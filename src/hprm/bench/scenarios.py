@@ -11,7 +11,7 @@ Modes:
 * ``centralized`` -- grant-based coordination, store-backed payloads.
 * ``decentralized`` -- clock-gated coordination, store-backed payloads.
 * ``copy-baseline`` -- clock-gated coordination with the object store
-  disabled and the inline threshold raised, so every payload is copied
+  disabled and the eager buffer raised, so every payload is copied
   through per-subscriber sockets.  This stands in for conventional
   middleware transfer when comparing against the zero-copy path.
 """
@@ -246,19 +246,17 @@ def _load_result(path: Path, name: str) -> dict:
 
 
 def _mode_params(mode: str, size_bytes: int, store_path: str | None) -> dict:
-    """Per-mode federate knobs.  copy-baseline = no store, inline frames
-    big enough for the whole payload."""
+    """Per-mode federate knobs.  copy-baseline = no store, an eager
+    buffer big enough for the whole payload's frame."""
     if mode == "copy-baseline":
         return {
             "mode": "decentralized",
             "store_path": None,
-            "inline_threshold": size_bytes + (64 << 10),
             "eager_buffer_bytes": size_bytes + (128 << 10),
         }
     return {
         "mode": mode,
         "store_path": store_path,
-        "inline_threshold": 65536 - 22,
         "eager_buffer_bytes": 65536,
     }
 
@@ -670,8 +668,8 @@ def measure_write_delay(size_bytes: int, iterations: int = 15, warmup: int = 3):
                     layout = build_layout(payload)
                     obj = client.create(layout.total_bytes)
                     obj.write(0, layout.header)
-                    for span, seg in zip(layout.segment_spans, payload.segments):
-                        obj.write(span[0], seg)
+                    for offset, seg in zip(layout.segment_offsets, payload.segments):
+                        obj.write(offset, seg)
                     obj.seal()
                     obj.close()
                     t1 = time.perf_counter_ns()

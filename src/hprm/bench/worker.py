@@ -44,7 +44,6 @@ def _build_federate(cfg: dict) -> Federate:
         rti_address=(cfg["rti_host"], cfg["rti_port"]),
         store_path=cfg.get("store_path"),
         stp_offset_ns=cfg.get("stp_offset_ns", 0),
-        inline_threshold=cfg.get("inline_threshold", 65536 - 22),
         connection=options,
     )
     listener = None

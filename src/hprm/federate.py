@@ -60,13 +60,13 @@ from hprm.serde import (
     decode_payload,
     deserialize,
     encode_payload,
-    payload_from_spans,
     serialize,
 )
-from hprm.store import ObjectRef, SealedObject, Status, StoreClient, StoreError
+from hprm.store import ID_BYTES, SealedObject, Status, StoreClient, StoreError
 from hprm.tags import FOREVER, NEVER, Tag, bound_tag, delay_tag
 from hprm.topology import Topology
 from hprm.transport import (
+    HEADER_BYTES,
     ConnectionOptions,
     Frame,
     FrameConnection,
@@ -81,7 +81,6 @@ log = logging.getLogger(__name__)
 CENTRALIZED = "centralized"
 DECENTRALIZED = "decentralized"
 
-DEFAULT_INLINE_THRESHOLD = 65536 - 22  # a frame must fit the eager buffer
 # OBJ_REF frames a reader may leave unacknowledged: the store may evict an
 # object no one has pinned yet, so a publisher must not run further ahead.
 OBJ_WINDOW = 4
@@ -145,15 +144,12 @@ class FederateConfig:
     store_path: str | None = None
     listen_host: str = "127.0.0.1"
     stp_offset_ns: int = 0
-    inline_threshold: int = DEFAULT_INLINE_THRESHOLD
     connection: ConnectionOptions = field(default_factory=ConnectionOptions)
     connect_retry_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.mode not in (CENTRALIZED, DECENTRALIZED):
             raise ValueError(f"unknown coordination mode {self.mode!r}")
-        if self.inline_threshold + 22 > self.connection.eager_buffer_bytes:
-            raise ValueError("inline threshold exceeds the eager buffer contract")
 
     @classmethod
     def from_env(cls, fid: str, environ=None, **overrides) -> "FederateConfig":
@@ -347,11 +343,13 @@ class Federate:
     def publish(self, port: str, value) -> int:
         """Send a value from the executing tag down every matching connection.
 
-        Large payloads go through the object store (one shared object for
-        the whole fan-out); small ones travel inline.  Self-loop edges take
-        ``value`` itself, so a payload is built only for remote edges.  A
-        store reference waits until its reader has acknowledged all but
-        ``OBJ_WINDOW - 1`` earlier ones.  Returns the number of deliveries."""
+        A payload travels inline when its frame fits one eager buffer, the
+        largest frame the transport takes; a larger one goes through the
+        object store, one shared object for the whole fan-out.  Self-loop
+        edges take ``value`` itself, so a payload is built only for remote
+        edges.  A store reference waits until its reader has acknowledged
+        all but ``OBJ_WINDOW - 1`` earlier ones.  Returns the number of
+        deliveries."""
         with self._lock:
             if not self._executing:
                 raise FederateError("publish is only legal inside a reaction")
@@ -361,17 +359,17 @@ class Federate:
         frame_type = body = None
         if remote:
             payload = serialize(value)
-            inline_size = payload.total_bytes()
-            if inline_size <= self.config.inline_threshold:
+            size = payload.total_bytes()
+            if HEADER_BYTES + size <= self.config.connection.eager_buffer_bytes:
                 frame_type, body = FrameType.TAGGED_MSG, encode_payload(payload)
             elif self._store is None:
                 raise DeliveryError(
-                    f"{inline_size}-byte payload exceeds the inline threshold "
+                    f"{size}-byte payload does not fit one frame "
                     "and no object store is configured"
                 )
             else:
                 frame_type = FrameType.OBJ_REF
-                body = self._store_payload(payload, remote).encode()
+                body = self._store_payload(payload, remote)
         delivered = 0
         for edge in edges:
             out_tag = delay_tag(current, edge.delay)
@@ -410,28 +408,24 @@ class Federate:
                 unacked -= 1
         self._unacked[dst] = unacked + 1
 
-    def _store_payload(self, payload: SerializedPayload, reads: int) -> ObjectRef:
-        """Write ``payload`` into a new store object sealed for ``reads``
-        gets, one per OBJ_REF frame about to be sent, so the store
-        recycles it once they are done.  The mapping closes first."""
+    def _store_payload(self, payload: SerializedPayload, reads: int) -> bytes:
+        """Write ``payload``'s flat encoding into a new store object sealed
+        for ``reads`` gets, one per OBJ_REF frame about to be sent, so the
+        store recycles it once they are done.  The mapping closes first.
+        Returns the object id, which is all an OBJ_REF carries."""
         layout = build_layout(payload)
         try:
             obj = self._store.create(layout.total_bytes)
             obj.write(0, layout.header)
-            for span, seg in zip(layout.segment_spans, payload.segments):
-                obj.write(span[0], seg)
+            for offset, seg in zip(layout.segment_offsets, payload.segments):
+                obj.write(offset, seg)
             obj.close()
             obj.seal(reads)
         except (StoreError, OSError) as exc:
             raise DeliveryError(
                 f"{self.fid}: storing a {layout.total_bytes}-byte payload: {exc}"
             ) from exc
-        return ObjectRef(
-            obj.oid,
-            layout.total_bytes,
-            (layout.inband_offset, layout.inband_length),
-            layout.segment_spans,
-        )
+        return obj.oid
 
     # -- startup -----------------------------------------------------------------
 
@@ -558,11 +552,15 @@ class Federate:
             payload = decode_payload(frame.body)
             self._arrive(frame, src, payload, None)
         elif frame.type == FrameType.OBJ_REF:
-            ref = ObjectRef.decode(frame.body)
+            oid = frame.body
+            if len(oid) != ID_BYTES:
+                raise ValueError(
+                    f"OBJ_REF body of {len(oid)} bytes is not a {ID_BYTES}-byte id"
+                )
             try:
                 if self._store is None:
                     raise StoreError(Status.BAD_REQUEST, "no object store is configured")
-                sealed = self._store.get(ref.oid)
+                sealed = self._store.get(oid)
             except (StoreError, OSError) as exc:
                 # The message is lost: fail the run rather than carry on
                 # without it.  It did arrive, so count it and report, or
@@ -570,7 +568,7 @@ class Federate:
                 with self._lock:
                     if self._fatal is None:
                         self._fatal = DeliveryError(
-                            f"{self.fid}: object {ref.oid.hex()[:12]} from "
+                            f"{self.fid}: object {oid.hex()[:12]} from "
                             f"{src!r} could not be read: {exc}"
                         )
                     self.messages_received += 1
@@ -589,7 +587,7 @@ class Federate:
                 view = memoryview(bytes(view))
                 sealed.release()
                 sealed = None
-            payload = payload_from_spans(view, ref.inband_span, ref.segment_spans)
+            payload = decode_payload(view)
             self._arrive(frame, src, payload, sealed)
         elif frame.type == FrameType.PING:
             conn.send_frame(frame)

@@ -13,6 +13,12 @@ canonical (map keys are sorted, integers use a fixed minimal-width rule),
 so equal values serialize to identical bytes, which the cross-federate
 determinism checks rely on.
 
+A payload has one flat, self-describing encoding (:func:`encode_payload`):
+a header that holds the in-band stream and the segment lengths, then each
+segment at the next 64-byte boundary.  An inline frame's body and a store
+object hold the same bytes, and :func:`decode_payload` parses either, so
+a reference to a store object needs to carry nothing but its id.
+
 ``deserialize(..., zero_copy=True)`` reconstructs array and bytes leaves
 as read-only views of the payload's backing buffers; callers use it when
 the backing is stable (a pinned shared-memory mapping, or a private
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -32,6 +38,8 @@ DEFAULT_OOB_FLOOR = 4096
 SEGMENT_ALIGNMENT = 64
 PAYLOAD_VERSION = 1
 
+_PREFIX = struct.Struct("<BI")  # version, in-band length
+_FIXED_HEADER = _PREFIX.size + 2  # the prefix and the segment count
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -79,12 +87,15 @@ class SerializedPayload:
 
     @property
     def segment_lengths(self) -> tuple[int, ...]:
-        return tuple(len(memoryview(s).cast("B")) for s in self.segments)
+        return tuple(memoryview(s).nbytes for s in self.segments)
 
     def total_bytes(self) -> int:
-        """Size of the single-buffer encoding (:func:`encode_payload`)."""
-        seg_lens = self.segment_lengths
-        return 1 + 4 + len(self.inband) + 2 + 8 * len(seg_lens) + sum(seg_lens)
+        """Size of the flat encoding (:func:`encode_payload`), padding
+        included."""
+        end = _FIXED_HEADER + len(self.inband) + 8 * len(self.segments)
+        for seg in self.segments:
+            end += -end % SEGMENT_ALIGNMENT + memoryview(seg).nbytes
+        return end
 
 
 def _encode_int(out: bytearray, x: int) -> None:
@@ -291,113 +302,101 @@ def deserialize(payload: SerializedPayload, *, zero_copy: bool = False) -> Any:
     return value
 
 
-# -- single-buffer encoding (inline transport) --------------------------
+# -- the flat encoding (frames and store objects) ------------------------
+
+
+def _segment_offsets(cursor: int, lens) -> tuple[list[int], int]:
+    """Offsets of segments of ``lens`` bytes laid out after a header of
+    ``cursor`` bytes, each at the next multiple of ``SEGMENT_ALIGNMENT``,
+    and the end of the last one."""
+    offsets = []
+    for n in lens:
+        cursor += -cursor % SEGMENT_ALIGNMENT
+        offsets.append(cursor)
+        cursor += n
+    return offsets, cursor
+
+
+def _header(payload: SerializedPayload, lens) -> bytes:
+    return b"".join(
+        [
+            _PREFIX.pack(payload.version, len(payload.inband)),
+            payload.inband,
+            _U16.pack(len(lens)),
+            *map(_U64.pack, lens),
+        ]
+    )
+
+
+@dataclass(frozen=True)
+class PayloadLayout:
+    """Where :func:`encode_payload` puts a payload's pieces: the header
+    at 0 and each segment at its offset.  A store writer copies them
+    there, so the object holds exactly the encoded bytes, bar padding."""
+
+    total_bytes: int
+    header: bytes
+    segment_offsets: tuple[int, ...]
+
+
+def build_layout(payload: SerializedPayload) -> PayloadLayout:
+    lens = payload.segment_lengths
+    header = _header(payload, lens)
+    offsets, end = _segment_offsets(len(header), lens)
+    return PayloadLayout(end, header, tuple(offsets))
 
 
 def encode_payload(payload: SerializedPayload) -> bytes:
     """Flatten a payload into one self-contained byte string.
 
     Layout: ``version u8 | inband_len u32 | inband | segment_count u16 |
-    segment_len u64 per segment | segment bytes back to back``.  All
-    integers little-endian.  This is the only point on the inline path
-    where segment bytes are copied.
+    segment_len u64 per segment``, then each segment at the next multiple
+    of ``SEGMENT_ALIGNMENT``, so array views over the buffer keep their
+    natural alignment, with zero padding between and nothing after.  All
+    integers little-endian.  A frame body and a store object hold the
+    same bytes; this is the only point on the inline path where segment
+    bytes are copied.
     """
     lens = payload.segment_lengths
-    parts = [
-        bytes([payload.version]),
-        _U32.pack(len(payload.inband)),
-        payload.inband,
-        _U16.pack(len(lens)),
-    ]
-    parts.extend(_U64.pack(n) for n in lens)
-    parts.extend(payload.segments)
+    header = _header(payload, lens)
+    if not lens:
+        return header
+    parts = [header]
+    cursor = len(header)
+    for n, seg in zip(lens, payload.segments):
+        pad = -cursor % SEGMENT_ALIGNMENT
+        parts += (bytes(pad), seg)
+        cursor += pad + n
     return b"".join(parts)
 
 
 def decode_payload(buffer: bytes | memoryview) -> SerializedPayload:
-    """Parse :func:`encode_payload` output without copying segment data.
+    """Parse :func:`encode_payload` output -- a frame body or a store
+    object's mapping -- without copying segment data.  Padding is never
+    read, so a recycled store segment may hold anything there.
 
     The returned payload's in-band stream and segments are views into
     ``buffer``; hand it to ``deserialize(..., zero_copy=False)`` unless
     ``buffer`` is known to be stable.
     """
     view = memoryview(buffer).cast("B")
-    reader = _Reader(view)
-    version = reader.byte()
-    if version != PAYLOAD_VERSION:
-        raise PayloadFormatError(f"unsupported payload version {version}")
-    inband = reader.take(reader.u32())
-    count = _U16.unpack(reader.take(2))[0]
-    lens = [reader.u64() for _ in range(count)]
-    segments = tuple(reader.take(n) for n in lens)
-    if reader.pos != len(view):
+    try:
+        version, inband_len = _PREFIX.unpack_from(view)
+        if version != PAYLOAD_VERSION:
+            raise PayloadFormatError(f"unsupported payload version {version}")
+        inband_end = _PREFIX.size + inband_len
+        (count,) = _U16.unpack_from(view, inband_end)
+        table = inband_end + 2
+        lens = [_U64.unpack_from(view, table + 8 * i)[0] for i in range(count)]
+    except struct.error:
+        raise PayloadFormatError("truncated payload header") from None
+    inband = view[_PREFIX.size : inband_end]
+    offsets, end = _segment_offsets(table + 8 * count, lens)
+    if end > len(view):
+        raise PayloadFormatError(
+            f"truncated payload: segments end at {end}, buffer holds {len(view)}"
+        )
+    if end != len(view):
         raise PayloadFormatError("trailing bytes after final segment")
+    segments = tuple(view[off : off + n] for off, n in zip(offsets, lens))
     return SerializedPayload(version, inband, segments)
-
-
-# -- multi-buffer layout (shared-memory objects) -------------------------
-
-
-@dataclass(frozen=True)
-class PayloadLayout:
-    """Where a payload's pieces live inside one flat object.
-
-    The header (version, in-band stream, segment length table) occupies
-    ``[0, len(header))``; each segment occupies its span, aligned so that
-    array views over the mapping keep their natural alignment.
-    """
-
-    total_bytes: int
-    header: bytes
-    inband_offset: int
-    inband_length: int
-    segment_spans: tuple[tuple[int, int], ...]
-
-
-def build_layout(
-    payload: SerializedPayload, *, alignment: int = SEGMENT_ALIGNMENT
-) -> PayloadLayout:
-    lens = payload.segment_lengths
-    header = bytearray()
-    header.append(payload.version)
-    header += _U32.pack(len(payload.inband))
-    header += bytes(payload.inband)
-    header += _U16.pack(len(lens))
-    for n in lens:
-        header += _U64.pack(n)
-    cursor = len(header)
-    spans = []
-    for n in lens:
-        cursor = -(-cursor // alignment) * alignment
-        spans.append((cursor, n))
-        cursor += n
-    return PayloadLayout(
-        total_bytes=max(cursor, len(header)),
-        header=bytes(header),
-        inband_offset=5,
-        inband_length=len(payload.inband),
-        segment_spans=tuple(spans),
-    )
-
-
-def payload_from_spans(
-    buffer,
-    inband_span: tuple[int, int],
-    segment_spans: Sequence[tuple[int, int]],
-) -> SerializedPayload:
-    """Reassemble a payload from explicit spans over a stable buffer."""
-    view = memoryview(buffer).cast("B")
-    if len(view) < 1:
-        raise PayloadFormatError("empty payload buffer")
-    version = view[0]
-    off, length = inband_span
-    inband = view[off:off + length]
-    if len(inband) != length:
-        raise PayloadFormatError("in-band span exceeds buffer")
-    segments = []
-    for off, length in segment_spans:
-        seg = view[off:off + length]
-        if len(seg) != length:
-            raise PayloadFormatError("segment span exceeds buffer")
-        segments.append(seg)
-    return SerializedPayload(version, inband, tuple(segments))

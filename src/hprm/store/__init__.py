@@ -13,14 +13,15 @@ A view kept past its release keeps the object cached until evicted.
 The daemon answers every request at once: a get of an object that is
 gone or not yet sealed fails rather than waits, and a client waits at
 most ``REPLY_TIMEOUT_S`` for any reply.  A federate holds one session
-for its publishes, gets and releases.  Dead segments are pooled within
+for its publishes, gets and releases.  An object holds a payload's flat
+encoding (:mod:`hprm.serde`), which describes itself, so a reference to
+it is the 20-byte object id alone.  Dead segments are pooled within
 the store's free bytes, and no file is ever named, so a crashed daemon
 leaves nothing behind but its socket.
 """
 
 from hprm.store.client import (
     ID_BYTES,
-    ObjectRef,
     SealedObject,
     StoreClient,
     StoreError,
@@ -31,7 +32,6 @@ from hprm.store.state import Status, StoreCounters, StoreState
 
 __all__ = [
     "ID_BYTES",
-    "ObjectRef",
     "SealedObject",
     "StoreClient",
     "StoreError",

@@ -11,10 +11,12 @@ its release stays valid until the object is evicted.  The daemon
 answers every request at once, so a request that has no reply within
 ``REPLY_TIMEOUT_S`` means the daemon is stuck or gone: the request fails
 and closes the session, so that no later request can read its reply.  A
-get of an object that is not there fails at once.  The client keeps
-two counters, ``write_passes`` and ``bytes_written``, that tally every
-pass over payload bytes made through :meth:`WritableObject.write`; the
-zero-copy accounting checks in the benchmark suite are built on them.
+get of an object that is not there fails at once.
+
+The client moves bytes and knows nothing of what they mean: a publisher
+writes a payload's flat encoding (:mod:`hprm.serde`) into the object, and
+a reader parses it straight from the mapping, so the object's id is all
+a reader needs to be told.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import os
 import socket
 import struct
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 from hprm.store import wire
@@ -33,9 +34,6 @@ from hprm.store.state import Status
 from hprm.store.wire import ID_BYTES
 
 REPLY_TIMEOUT_S = 5.0  # the longest wait for any reply
-
-_REF_PREFIX = struct.Struct("<20sQQQH")
-_REF_SPAN = struct.Struct("<QQ")
 
 
 def random_object_id() -> bytes:
@@ -46,43 +44,6 @@ class StoreError(Exception):
     def __init__(self, status: Status, detail: str = ""):
         self.status = status
         super().__init__(f"store error {status.name}" + (f": {detail}" if detail else ""))
-
-
-@dataclass(frozen=True)
-class ObjectRef:
-    """Where to find a payload inside a store object.
-
-    Travels in OBJ_REF frame bodies.  Spans are (offset, length) pairs
-    into the object's mapping: one for the in-band stream and one per
-    out-of-band segment, in placeholder order.
-    """
-
-    oid: bytes
-    total_bytes: int
-    inband_span: tuple[int, int]
-    segment_spans: tuple[tuple[int, int], ...]
-
-    def encode(self) -> bytes:
-        head = _REF_PREFIX.pack(
-            self.oid,
-            self.total_bytes,
-            self.inband_span[0],
-            self.inband_span[1],
-            len(self.segment_spans),
-        )
-        return head + b"".join(_REF_SPAN.pack(*span) for span in self.segment_spans)
-
-    @classmethod
-    def decode(cls, buf: bytes | memoryview) -> "ObjectRef":
-        oid, total, ib_off, ib_len, count = _REF_PREFIX.unpack_from(buf)
-        spans = []
-        offset = _REF_PREFIX.size
-        for _ in range(count):
-            spans.append(_REF_SPAN.unpack_from(buf, offset))
-            offset += _REF_SPAN.size
-        if offset != len(buf):
-            raise ValueError("trailing bytes after object reference")
-        return cls(bytes(oid), total, (ib_off, ib_len), tuple(spans))
 
 
 class _Mapped:
@@ -125,8 +86,6 @@ class WritableObject(_Mapped):
         view = memoryview(data).cast("B") if not isinstance(data, bytes) else data
         n = len(view)
         self._mm[offset : offset + n] = view
-        self.client.write_passes += 1
-        self.client.bytes_written += n
         return n
 
     def seal(self, reads: int = 0) -> None:
@@ -184,8 +143,6 @@ class StoreClient:
             self._sock.setsockopt(socket.SOL_SOCKET, option, bound)
         self._sock.connect(str(socket_path))
         self._lock = threading.Lock()
-        self.write_passes = 0
-        self.bytes_written = 0
 
     def _recv_exact(self, n: int) -> bytes:
         chunks = []

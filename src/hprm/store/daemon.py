@@ -115,8 +115,8 @@ class StoreDaemon:
         """Move dead objects' segments into the reuse pool.
 
         Contents are not scrubbed; a recycled segment may hand back stale
-        bytes in regions the new creator never writes, which the span
-        layout never reads."""
+        bytes in regions the new creator never writes: the padding
+        between a payload's segments, which its decoder never reads."""
         self._pool.extend(self._segments.pop(oid) for oid in oids)
 
     def _trim_pool(self) -> None:

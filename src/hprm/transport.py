@@ -149,16 +149,6 @@ class FrameConnection:
         self.frames_received = 0
         self._closed = False
 
-    def fileno(self) -> int:
-        return self._sock.fileno()
-
-    @property
-    def peer(self):
-        try:
-            return self._sock.getpeername()
-        except OSError:
-            return None
-
     def send_frame(self, frame: Frame) -> None:
         if len(frame.body) + HEADER_BYTES > self.options.eager_buffer_bytes:
             raise OversizeFrameError(

@@ -22,9 +22,18 @@ from hprm.federate import (
 from hprm.rti import RtiServer, RtiState
 from hprm.store import StoreClient
 from hprm.store.daemon import StoreDaemon
-from hprm.tags import NEVER, NO_DELAY, Delay, Tag, bound_tag, delay_tag
+from hprm.tags import FOREVER, NEVER, NO_DELAY, Delay, Tag, bound_tag, delay_tag
 from hprm.topology import Connection, Topology
-from hprm.transport import Frame, FrameConnection, FrameListener, FrameType
+from hprm.serde import decode_payload, deserialize, serialize
+from hprm.store.wire import ID_BYTES
+from hprm.transport import (
+    HEADER_BYTES,
+    ConnectionOptions,
+    Frame,
+    FrameConnection,
+    FrameListener,
+    FrameType,
+)
 
 MS = 1_000_000
 
@@ -96,11 +105,6 @@ def store():
 def test_config_rejects_unknown_mode():
     with pytest.raises(ValueError):
         FederateConfig(fid="f", mode="anarchic")
-
-
-def test_config_inline_threshold_must_fit_eager_buffer():
-    with pytest.raises(ValueError):
-        FederateConfig(fid="f", inline_threshold=2**20)
 
 
 def test_config_from_env():
@@ -805,6 +809,89 @@ def test_small_payloads_skip_the_store(store):
     )
     assert got == [[1, 2, 3]]
     assert store.state.stats()["creates"] == 0
+
+
+def _publish_once(pub, value):
+    """Publish ``value`` from a reaction at the start tag, with its one
+    peer connection replaced by a recorder; returns the frames sent."""
+    sub = _Recorder()
+    pub._peers_out["sub"] = sub
+    with pub._lock:
+        pub._current = Tag(1_000 * MS, 0)
+        pub._executing = True
+    try:
+        pub.publish("out", value)
+    finally:
+        pub._executing = False
+    return [f for f in sub.frames if f.type != FrameType.NET]
+
+
+def test_obj_ref_body_is_the_object_id(store):
+    """The store object describes itself: the reference is its id alone,
+    and the object decodes to the published value."""
+    pub = Federate(FederateConfig(fid="pub"), pipeline("pub", "sub"))
+    value = {"seq": 7, "data": np.arange(100_000, dtype=np.float64)}
+    with StoreClient(store.socket_path) as pub._store:
+        (frame,) = _publish_once(pub, value)
+        assert frame.type == FrameType.OBJ_REF
+        assert len(frame.body) == ID_BYTES
+        with pub._store.get(frame.body) as sealed:
+            got = deserialize(decode_payload(sealed.view))
+    assert got["seq"] == 7 and np.array_equal(got["data"], value["data"])
+
+
+def test_payload_goes_inline_exactly_when_its_frame_fits(store):
+    """At the default eager buffer, a payload whose frame fills the buffer
+    rides inline, and one a byte larger goes to the store."""
+    eager = ConnectionOptions().eager_buffer_bytes
+    overhead = serialize(bytes(4096)).total_bytes() - 4096
+    fits = eager - HEADER_BYTES - overhead  # a byte string this long fills a frame
+    pub = Federate(FederateConfig(fid="pub"), pipeline("pub", "sub"))
+    with StoreClient(store.socket_path) as pub._store:
+        (inline,) = _publish_once(pub, bytes(fits))
+        (ref,) = _publish_once(pub, bytes(fits + 1))
+    assert inline.type == FrameType.TAGGED_MSG
+    assert HEADER_BYTES + len(inline.body) == eager
+    assert ref.type == FrameType.OBJ_REF
+    assert store.state.stats()["creates"] == 1
+
+
+def test_large_eager_buffer_carries_a_large_payload_inline():
+    """With a 2 MiB eager buffer and no store, a 1 MiB array is delivered
+    inline: the cutoff is the buffer, not a separate threshold."""
+    topo = pipeline("pub", "sub")
+    opts = ConnectionOptions(eager_buffer_bytes=2 * 2**20)
+    pub = Federate(FederateConfig(fid="pub", connection=opts), topo)
+    sub = Federate(FederateConfig(fid="sub", connection=opts), topo)
+    got = []
+    pub.on("tick", lambda ctx: ctx.publish("out", np.full(2**17, 3.0)))
+    sub.on("in", lambda ctx: got.append(ctx.value))
+    results = run_federation(
+        topo, [pub, sub],
+        lambda f, s: f.schedule(Tag(s.time + MS, 0), "tick") if f.fid == "pub" else None,
+    )
+    assert all(isinstance(r, RunSummary) for r in results.values()), results
+    assert len(got) == 1 and got[0].shape == (2**17,) and (got[0] == 3.0).all()
+
+
+def test_malformed_obj_ref_ends_the_inbound_connection(caplog):
+    """A 21-byte OBJ_REF body is not an object id: the reader logs the
+    fault, stops reading that connection and takes its upstream as gone."""
+    topo = pipeline("pub", "sub")
+    sub = Federate(FederateConfig(fid="sub"), topo)
+    port = topo.port_number("sub", "in")
+    feed = _Feed(
+        Frame(FrameType.OBJ_REF, Tag(1_000 * MS, 0), port, bytes(ID_BYTES + 1)),
+        Frame(FrameType.NET, Tag(2_000 * MS, 0)),
+    )
+    reader = threading.Thread(target=sub._peer_reader, args=(feed, "pub"))
+    reader.start()
+    reader.join(timeout=5)
+    assert not reader.is_alive()
+    assert sub._watermarks["pub"] == FOREVER
+    assert len(feed.frames) == 1  # nothing read past the bad frame
+    assert sub.messages_received == 0
+    assert "inbound connection from pub failed" in caplog.text
 
 
 def test_publisher_waits_for_a_slow_reader(tmp_path, monkeypatch):

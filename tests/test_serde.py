@@ -24,7 +24,6 @@ from hprm.serde import (
     decode_payload,
     deserialize,
     encode_payload,
-    payload_from_spans,
     serialize,
 )
 
@@ -223,7 +222,31 @@ def test_bad_version_rejected():
         decode_payload(bytes(blob))
 
 
-# -- flat object layout -------------------------------------------------------
+# -- the flat encoding, as frames and store objects carry it ------------------
+
+
+def _store_fill(payload):
+    """An object filled the store writer's way: stale bytes (0xAA)
+    everywhere, then the header at 0 and each segment at its offset."""
+    layout = build_layout(payload)
+    buf = bytearray(b"\xaa" * layout.total_bytes)
+    buf[: len(layout.header)] = layout.header
+    for off, seg in zip(layout.segment_offsets, payload.segments):
+        seg = memoryview(seg).cast("B")
+        buf[off : off + len(seg)] = seg
+    return buf
+
+
+@given(value_trees)
+@settings(max_examples=100, deadline=None)
+def test_one_encoding_for_frames_and_store_objects(value):
+    payload = serialize(value)
+    blob = encode_payload(payload)
+    assert len(blob) == payload.total_bytes() == build_layout(payload).total_bytes
+    buf = _store_fill(payload)
+    # The padding is never read: the object's stale bytes there do not matter.
+    assert deep_equal(deserialize(decode_payload(buf), zero_copy=True), value)
+    assert deep_equal(deserialize(decode_payload(blob)), value)
 
 
 def test_layout_aligns_and_separates_segments():
@@ -231,33 +254,42 @@ def test_layout_aligns_and_separates_segments():
         {"a": np.arange(5000, dtype=np.float64), "b": b"z" * 6000, "m": 3}
     )
     layout = build_layout(payload)
-    assert len(layout.segment_spans) == 2
-    spans = sorted(layout.segment_spans)
-    assert spans[0][0] >= len(layout.header)
-    for off, _length in layout.segment_spans:
+    lens = payload.segment_lengths
+    assert len(layout.segment_offsets) == 2
+    assert layout.segment_offsets[0] >= len(layout.header)
+    for off in layout.segment_offsets:
         assert off % SEGMENT_ALIGNMENT == 0
-    for (o1, l1), (o2, _l2) in zip(spans, spans[1:]):
-        assert o1 + l1 <= o2
-    assert layout.total_bytes >= spans[-1][0] + spans[-1][1]
+    for o1, l1, o2 in zip(layout.segment_offsets, lens, layout.segment_offsets[1:]):
+        assert o1 + l1 <= o2 < o1 + l1 + SEGMENT_ALIGNMENT
+    # Nothing follows the last segment.
+    assert layout.total_bytes == layout.segment_offsets[-1] + lens[-1]
+    # The frame body is the store object, with zeros for padding.
+    blob = encode_payload(payload)
+    assert blob[: len(layout.header)] == layout.header
+    for off, seg in zip(layout.segment_offsets, payload.segments):
+        assert blob[off : off + len(seg)] == bytes(seg)
 
 
 def test_layout_round_trip_through_flat_buffer():
     value = {"a": np.arange(5000, dtype=np.float64), "b": b"z" * 6000, "m": 3}
-    payload = serialize(value)
-    layout = build_layout(payload)
-    buf = bytearray(layout.total_bytes)
-    buf[: len(layout.header)] = layout.header
-    for (off, length), seg in zip(layout.segment_spans, payload.segments):
-        buf[off:off + length] = bytes(seg)
-    rebuilt_payload = payload_from_spans(
-        buf, (layout.inband_offset, layout.inband_length), layout.segment_spans
-    )
-    assert deep_equal(deserialize(rebuilt_payload, zero_copy=True), value)
+    buf = _store_fill(serialize(value))
+    rebuilt = deserialize(decode_payload(buf), zero_copy=True)
+    assert deep_equal(rebuilt, value)
+    assert np.shares_memory(rebuilt["a"], np.frombuffer(buf, dtype=np.uint8))
 
 
 def test_span_out_of_range_rejected():
-    with pytest.raises(PayloadFormatError):
-        payload_from_spans(b"\x01abc", (1, 100), [])
+    """A buffer shorter or longer than its header declares is refused."""
+    payload = serialize({"a": np.arange(5000, dtype=np.float64), "m": 3})
+    blob = encode_payload(payload)
+    with pytest.raises(PayloadFormatError, match="truncated"):
+        decode_payload(blob[:-1])
+    with pytest.raises(PayloadFormatError, match="truncated"):
+        decode_payload(blob[: len(build_layout(payload).header) - 1])
+    with pytest.raises(PayloadFormatError, match="trailing"):
+        decode_payload(blob + b"\0")
+    with pytest.raises(PayloadFormatError, match="trailing"):
+        decode_payload(encode_payload(serialize(1)) + b"\0")
 
 
 # -- throughput harness --------------------------------------------------------
