@@ -1,8 +1,11 @@
 """Benchmark scenario orchestration.
 
-Each scenario builds a topology, launches the daemons and one worker
-process per federate, waits for the run to finish, and folds the
-workers' result files into latency records plus named invariant checks.
+Each federation scenario is a topology, a config shared by its workers
+and a list of workers: ``pub`` and ``sub`` roles of
+:mod:`hprm.bench.worker`.  One launcher, ``_run_federation``, starts the
+daemons and one worker process per federate, subscribers first, waits
+for the run to finish and collects the workers' result files; the
+scenario folds them into latency records plus named invariant checks.
 The orchestrator itself stays single-threaded; every measured code path
 runs in a spawned process.
 
@@ -168,50 +171,38 @@ class _Procs:
                 proc.kill()
 
 
+def _read_address(procs: _Procs, name: str, proc, banner: str) -> tuple[str, int]:
+    """The ``host:port`` that ``proc`` prints after ``banner`` on stdout."""
+    deadline = time.monotonic() + 15
+    while time.monotonic() < deadline:
+        line = proc.stdout.readline().decode()
+        if line.startswith(banner):
+            host, _, port = line.rsplit(maxsplit=1)[-1].rpartition(":")
+            return host, int(port)
+        if not line and proc.poll() is not None:
+            break
+    procs.kill_all()
+    raise BenchError(f"{name} failed to start: {procs.stderr_tail(name)}")
+
+
 def _spawn_rti(procs: _Procs, topology: Topology, startup_ms: int = 150):
     topo_path = procs.workdir / "topology.json"
     topology.save(topo_path)
     proc = procs.spawn(
         "rti",
-        [
-            sys.executable,
-            "-m",
-            "hprm.rti",
-            "--listen",
-            "127.0.0.1:0",
-            "--topology",
-            str(topo_path),
-            "--startup-offset-ms",
-            str(startup_ms),
-        ],
+        [sys.executable, "-m", "hprm.rti", "--listen", "127.0.0.1:0",
+         "--topology", str(topo_path), "--startup-offset-ms", str(startup_ms)],
         stdout=subprocess.PIPE,
     )
-    deadline = time.monotonic() + 15
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline().decode()
-        if line.startswith("rti listening on "):
-            host, _, port = line.rsplit(maxsplit=1)[-1].rpartition(":")
-            return host, int(port)
-        if not line and proc.poll() is not None:
-            break
-        time.sleep(0.01)
-    procs.kill_all()
-    raise BenchError(f"coordinator failed to start: {procs.stderr_tail('rti')}")
+    return _read_address(procs, "rti", proc, "rti listening on ")
 
 
 def _spawn_store(procs: _Procs, capacity: int) -> str:
     sock = str(procs.workdir / "store.sock")
     procs.spawn(
         "store",
-        [
-            sys.executable,
-            "-m",
-            "hprm.store.daemon",
-            "--socket",
-            sock,
-            "--capacity-bytes",
-            str(capacity),
-        ],
+        [sys.executable, "-m", "hprm.store.daemon", "--socket", sock,
+         "--capacity-bytes", str(capacity)],
     )
     deadline = time.monotonic() + 15
     while time.monotonic() < deadline:
@@ -224,16 +215,18 @@ def _spawn_store(procs: _Procs, capacity: int) -> str:
     raise BenchError(f"store daemon failed to start: {procs.stderr_tail('store')}")
 
 
-def _spawn_worker(procs: _Procs, cfg: dict) -> Path:
+def _spawn_worker(procs: _Procs, cfg: dict, **popen_kw) -> tuple[subprocess.Popen, Path]:
+    """Start one ``hprm.bench.worker``; returns it and its result path."""
     result_path = procs.workdir / f"{cfg['fid']}.result.json"
     cfg = dict(cfg, result_path=str(result_path))
     cfg_path = procs.workdir / f"{cfg['fid']}.config.json"
     cfg_path.write_text(json.dumps(cfg))
-    procs.spawn(
+    proc = procs.spawn(
         cfg["fid"],
         [sys.executable, "-m", "hprm.bench.worker", "--config", str(cfg_path)],
+        **popen_kw,
     )
-    return result_path
+    return proc, result_path
 
 
 def _load_result(path: Path, name: str) -> dict:
@@ -245,27 +238,52 @@ def _load_result(path: Path, name: str) -> dict:
     return result
 
 
-def _mode_params(mode: str, size_bytes: int, store_path: str | None) -> dict:
-    """Per-mode federate knobs.  copy-baseline = no store, an eager
-    buffer big enough for the whole payload's frame."""
-    if mode == "copy-baseline":
-        return {
-            "mode": "decentralized",
-            "store_path": None,
-            "eager_buffer_bytes": size_bytes + (128 << 10),
-        }
-    return {
-        "mode": mode,
-        "store_path": store_path,
-        "eager_buffer_bytes": 65536,
-    }
+def _run_federation(
+    prefix: str,
+    topology: Topology,
+    shared: dict,
+    workers: list[dict],
+    budget_s: float,
+    store_capacity: int | None = None,
+) -> tuple[dict[str, dict], dict | None]:
+    """Run one federation to its end: a store daemon when given a
+    capacity, the coordinator, then one worker per entry of ``workers``
+    (each merged over ``shared``), in that order.  Returns the workers'
+    results by federate id and the store's final stats (None without a
+    store)."""
+    with tempfile.TemporaryDirectory(prefix=f"hprm-{prefix}-") as tmp:
+        procs = _Procs(Path(tmp))
+        try:
+            store_path = None
+            if store_capacity is not None:
+                store_path = _spawn_store(procs, store_capacity)
+            host, port = _spawn_rti(procs, topology)
+            shared = shared | {
+                "topology": topology.to_dict(),
+                "rti_host": host,
+                "rti_port": port,
+                "store_path": store_path,
+            }
+            paths = {w["fid"]: _spawn_worker(procs, shared | w)[1] for w in workers}
+            procs.wait_all(list(paths), budget_s)
+            results = {fid: _load_result(path, fid) for fid, path in paths.items()}
+            stats = None
+            if store_path is not None:
+                with StoreClient(store_path) as client:
+                    stats = client.stats()
+        finally:
+            procs.kill_all()
+    return results, stats
 
 
 # -- broadcast / gather -------------------------------------------------------
 
 
 def _run_payload_scenario(cfg: BenchConfig, size_bytes: int, gather: bool):
-    """One federation run at one payload size; returns (latencies, extra)."""
+    """One federation run at one payload size; returns (latencies, extra).
+
+    copy-baseline runs decentralized with no store and an eager buffer
+    big enough for the whole payload's frame."""
     scen = "gather" if gather else "broadcast"
     n_pubs = cfg.nodes - 1 if gather else 1
     n_subs = 1 if gather else cfg.nodes - 1
@@ -276,48 +294,31 @@ def _run_payload_scenario(cfg: BenchConfig, size_bytes: int, gather: bool):
     ]
     topo = Topology.build(pubs + subs, conns)
     period = cfg.auto_period_ns(size_bytes)
-
-    with tempfile.TemporaryDirectory(prefix=f"hprm-{scen}-") as tmp:
-        procs = _Procs(Path(tmp))
-        try:
-            store_path = (
-                None
-                if cfg.mode == "copy-baseline"
-                else _spawn_store(procs, cfg.store_capacity)
-            )
-            host, port = _spawn_rti(procs, topo)
-            shared = {
-                "topology": topo.to_dict(),
-                "rti_host": host,
-                "rti_port": port,
-                "size_bytes": size_bytes,
-                "iters_total": cfg.iterations,
-                "period_ns": period,
-                "stp_offset_ns": cfg.stp_offset_ns,
-                **_mode_params(cfg.mode, size_bytes, store_path),
-            }
-            results = {}
-            paths = {}
-            for fid in subs:
-                role = "gather_sub" if gather else "broadcast_sub"
-                paths[fid] = _spawn_worker(
-                    procs,
-                    shared | {"fid": fid, "role": role, "n_publishers": n_pubs},
-                )
-            for fid in pubs:
-                role = "gather_pub" if gather else "broadcast_pub"
-                paths[fid] = _spawn_worker(procs, shared | {"fid": fid, "role": role})
-            budget = 60 + cfg.iterations * period / 1e9 * 4
-            procs.wait_all(pubs + subs, budget)
-            for fid, path in paths.items():
-                results[fid] = _load_result(path, fid)
-
-            stats = None
-            if store_path is not None:
-                with StoreClient(store_path) as client:
-                    stats = client.stats()
-        finally:
-            procs.kill_all()
+    copy = cfg.mode == "copy-baseline"
+    shared = {
+        "mode": "decentralized" if copy else cfg.mode,
+        "eager_buffer_bytes": size_bytes + (128 << 10) if copy else 65536,
+        "stp_offset_ns": cfg.stp_offset_ns,
+        "size_bytes": size_bytes,
+        "period_ns": period,
+        "slot": 0,
+        "slots": 1,
+        "message_count": cfg.iterations,
+        "n_publishers": n_pubs,
+        "message_count_total": n_pubs * cfg.iterations,
+    }
+    workers = [
+        *({"fid": fid, "role": "sub"} for fid in subs),
+        *({"fid": fid, "role": "pub", "pub_index": i} for i, fid in enumerate(pubs)),
+    ]
+    results, stats = _run_federation(
+        scen,
+        topo,
+        shared,
+        workers,
+        60 + cfg.iterations * period / 1e9 * 4,
+        None if copy else cfg.store_capacity,
+    )
 
     starts = {
         fid: {int(k): v for k, v in results[fid]["starts"].items()} for fid in pubs
@@ -402,49 +403,23 @@ def run_ordering(cfg: BenchConfig) -> ScenarioResult:
     period = cfg.period_ns if cfg.period_ns is not None else 1_000_000
     counts = [cfg.runs // n_pubs + (1 if i < cfg.runs % n_pubs else 0)
               for i in range(n_pubs)]
-
-    with tempfile.TemporaryDirectory(prefix="hprm-ordering-") as tmp:
-        procs = _Procs(Path(tmp))
-        try:
-            host, port = _spawn_rti(procs, topo)
-            shared = {
-                "topology": topo.to_dict(),
-                "rti_host": host,
-                "rti_port": port,
-                "mode": "decentralized" if cfg.mode != "centralized" else "centralized",
-                "store_path": None,
-                "period_ns": period,
-                "n_publishers": n_pubs,
-                "stp_offset_ns": cfg.stp_offset_ns,
-            }
-            paths = {}
-            paths["sub"] = _spawn_worker(
-                procs,
-                shared
-                | {
-                    "fid": "sub",
-                    "role": "ordering_sub",
-                    "message_count_total": cfg.runs,
-                    "inject_recv_jitter_ns": cfg.inject_latency_ns,
-                    "jitter_seed": cfg.seed,
-                },
-            )
-            for i, fid in enumerate(pubs):
-                paths[fid] = _spawn_worker(
-                    procs,
-                    shared
-                    | {
-                        "fid": fid,
-                        "role": "ordering_pub",
-                        "pub_index": i,
-                        "message_count": counts[i],
-                    },
-                )
-            budget = 120 + cfg.runs * period / 1e9 * 3
-            procs.wait_all([*pubs, "sub"], budget)
-            results = {f: _load_result(p, f) for f, p in paths.items()}
-        finally:
-            procs.kill_all()
+    shared = {
+        "mode": "decentralized" if cfg.mode != "centralized" else "centralized",
+        "stp_offset_ns": cfg.stp_offset_ns,
+        "period_ns": period,
+        "slots": n_pubs,
+        "n_publishers": n_pubs,
+        "message_count_total": cfg.runs,
+    }
+    workers = [
+        {"fid": "sub", "role": "sub", "inject_recv_jitter_ns": cfg.inject_latency_ns,
+         "jitter_seed": cfg.seed},
+        *({"fid": fid, "role": "pub", "pub_index": i, "slot": i,
+           "message_count": counts[i]} for i, fid in enumerate(pubs)),
+    ]
+    results, _ = _run_federation(
+        "ordering", topo, shared, workers, 120 + cfg.runs * period / 1e9 * 3
+    )
 
     sub = results["sub"]
     silent = sub["tag_order_errors"] + sub["seq_inversions"]
@@ -582,26 +557,8 @@ def _ping_once(procs: _Procs, name: str, disable_coalescing: bool, count: int):
         "fid": name,
         "disable_coalescing": disable_coalescing,
     }
-    cfg_path = procs.workdir / f"{name}.config.json"
-    result_path = procs.workdir / f"{name}.result.json"
-    cfg_path.write_text(json.dumps(cfg | {"result_path": str(result_path)}))
-    proc = procs.spawn(
-        name,
-        [sys.executable, "-m", "hprm.bench.worker", "--config", str(cfg_path)],
-        stdout=subprocess.PIPE,
-    )
-    deadline = time.monotonic() + 15
-    address = None
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline().decode()
-        if line.startswith("echo listening on "):
-            host, _, port = line.rsplit(maxsplit=1)[-1].rpartition(":")
-            address = (host, int(port))
-            break
-        if not line and proc.poll() is not None:
-            break
-    if address is None:
-        raise BenchError(f"echo worker failed: {procs.stderr_tail(name)}")
+    proc, _ = _spawn_worker(procs, cfg, stdout=subprocess.PIPE)
+    address = _read_address(procs, name, proc, "echo listening on ")
     options = ConnectionOptions(disable_coalescing=disable_coalescing)
     conn = connect(address, options, retry_for=5.0)
     try:
@@ -643,7 +600,8 @@ def measure_write_delay(size_bytes: int, iterations: int = 15, warmup: int = 3):
     """Write-side cost of publishing one payload: store path vs full copy.
 
     The store path serializes with borrowed segments and writes each byte
-    exactly once into the shared mapping.  The baseline is the
+    exactly once into the shared mapping, through ``StoreClient.put`` as
+    a publishing federate does.  The baseline is the
     conventional pipeline a socket middleware runs: serialize fully
     in-band, assemble the contiguous wire blob, and copy it into the
     transfer buffer.  Returns (store_ns, baseline_ns) sample tuples.
@@ -666,12 +624,10 @@ def measure_write_delay(size_bytes: int, iterations: int = 15, warmup: int = 3):
                     t0 = time.perf_counter_ns()
                     payload = serialize(value)
                     layout = build_layout(payload)
-                    obj = client.create(layout.total_bytes)
-                    obj.write(0, layout.header)
-                    for offset, seg in zip(layout.segment_offsets, payload.segments):
-                        obj.write(offset, seg)
-                    obj.seal()
-                    obj.close()
+                    client.put(
+                        layout.total_bytes,
+                        [(0, layout.header), *zip(layout.segment_offsets, payload.segments)],
+                    )
                     t1 = time.perf_counter_ns()
                     if i >= warmup:
                         store_ns.append(t1 - t0)

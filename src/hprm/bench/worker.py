@@ -7,9 +7,13 @@ in a JSON file the orchestrator collects after the process exits.
 
 Roles:
 
-* ``broadcast_pub`` / ``broadcast_sub`` -- one-to-many payload latency.
-* ``gather_pub`` / ``gather_sub`` -- many-to-one payload latency.
-* ``ordering_pub`` / ``ordering_sub`` -- sequence-numbered ordering stress.
+* ``pub`` -- publishes ``[pub_index, seq]``, plus an array of
+  ``size_bytes`` when that is positive, at one tag slot per message.
+  Broadcast and gather publishers share every slot; the ordering
+  publishers take turns.
+* ``sub`` -- checks tag order and each publisher's sequence, stamps
+  when every publisher's copy of a sequence number has been handled,
+  and counts late arrivals.
 * ``echo`` -- a bare frame echo server for ping/coalescing runs.
 """
 
@@ -26,18 +30,22 @@ import numpy as np
 
 from hprm.bench.delayline import DelayListener
 from hprm.clock import MonotonicClock
-from hprm.federate import Federate, FederateConfig, RunSummary
+from hprm.federate import Federate, FederateConfig
 from hprm.tags import Tag
 from hprm.topology import Topology
 from hprm.transport import ConnectionOptions, FrameListener, serve_echo
 
 
-def _build_federate(cfg: dict) -> Federate:
-    topo = Topology.from_dict(cfg["topology"])
-    options = ConnectionOptions(
+def _options(cfg: dict) -> ConnectionOptions:
+    return ConnectionOptions(
         eager_buffer_bytes=cfg.get("eager_buffer_bytes", 65536),
         disable_coalescing=cfg.get("disable_coalescing", True),
     )
+
+
+def _build_federate(cfg: dict) -> Federate:
+    topo = Topology.from_dict(cfg["topology"])
+    options = _options(cfg)
     fed_cfg = FederateConfig(
         fid=cfg["fid"],
         mode=cfg["mode"],
@@ -56,153 +64,93 @@ def _build_federate(cfg: dict) -> Federate:
     return Federate(fed_cfg, topo, listener=listener)
 
 
-def _payload_array(size_bytes: int) -> np.ndarray:
-    return np.arange(max(1, size_bytes // 8), dtype=np.float64)
-
-
-def run_broadcast_pub(cfg: dict) -> dict:
+def run_pub(cfg: dict) -> dict:
+    """Publisher ``pub_index``, in ``slot`` of ``slots``: message ``seq``
+    goes out at tag ``start + (seq*slots + slot + 1) * period_ns``."""
     fed = _build_federate(cfg)
     clock = MonotonicClock()
-    total = cfg["iters_total"]
-    period = cfg["period_ns"]
-    arr = _payload_array(cfg["size_bytes"])
+    index = cfg["pub_index"]
+    count = cfg["message_count"]
+    stride = cfg["slots"] * cfg["period_ns"]
+    size = cfg.get("size_bytes", 0)
+    array = [np.arange(max(1, size // 8), dtype=np.float64)] if size > 0 else []
     starts: dict[int, int] = {}
 
     def tick(ctx):
-        k = int(ctx.value)
-        t0 = clock.now_ns()
-        ctx.publish("out", [k, arr])
-        starts[k] = t0
-        if k + 1 < total:
-            ctx.schedule(Tag(ctx.tag.time + period, 0), "tick", k + 1)
+        seq = int(ctx.value)
+        starts[seq] = clock.now_ns()
+        ctx.publish("out", [index, seq, *array])
+        if seq + 1 < count:
+            ctx.schedule(Tag(ctx.tag.time + stride, 0), "tick", seq + 1)
 
     fed.on("tick", tick)
     start = fed.start()
-    fed.schedule(Tag(start.time + period, 0), "tick", 0)
+    first = start.time + (cfg["slot"] + 1) * cfg["period_ns"]
+    fed.schedule(Tag(first, 0), "tick", 0)
     summary = fed.run()
     return {"starts": starts, "summary": dataclasses.asdict(summary)}
 
 
-def run_broadcast_sub(cfg: dict) -> dict:
-    fed = _build_federate(cfg)
-    clock = MonotonicClock()
-    total = cfg["iters_total"]
-    dones: dict[int, int] = {}
-
-    def on_msg(ctx):
-        k = int(ctx.value[0])
-        data = ctx.value[1]
-        _ = data[-1]  # the payload must actually be present
-        dones[k] = clock.now_ns()
-        if len(dones) >= total:
-            ctx.federate.request_stop()
-
-    fed.on("in", on_msg)
-    summary = fed.run()
-    return {"dones": dones, "summary": dataclasses.asdict(summary)}
-
-
-def run_gather_pub(cfg: dict) -> dict:
-    # Publishing side of gather is a broadcast publisher with one edge.
-    return run_broadcast_pub(cfg)
-
-
-def run_gather_sub(cfg: dict) -> dict:
-    fed = _build_federate(cfg)
-    clock = MonotonicClock()
-    total = cfg["iters_total"]
-    expect = cfg["n_publishers"]
-    counts: dict[int, int] = {}
-    dones: dict[int, int] = {}
-
-    def on_msg(ctx):
-        k = int(ctx.value[0])
-        _ = ctx.value[1][-1]
-        counts[k] = counts.get(k, 0) + 1
-        if counts[k] == expect:
-            dones[k] = clock.now_ns()
-            if len(dones) >= total:
-                ctx.federate.request_stop()
-
-    fed.on("in", on_msg)
-    summary = fed.run()
-    return {"dones": dones, "summary": dataclasses.asdict(summary)}
-
-
-def run_ordering_pub(cfg: dict) -> dict:
-    fed = _build_federate(cfg)
-    index = cfg["pub_index"]
-    n_pubs = cfg["n_publishers"]
-    count = cfg["message_count"]
-    period = cfg["period_ns"]  # inter-message period across all publishers
-
-    def tick(ctx):
-        seq = int(ctx.value)
-        ctx.publish("out", [index, seq])
-        if seq + 1 < count:
-            ctx.schedule(Tag(ctx.tag.time + n_pubs * period, 0), "tick", seq + 1)
-
-    fed.on("tick", tick)
-    start = fed.start()
-    # Publisher i owns tag slots start + (k*n_pubs + i) * period.
-    fed.schedule(Tag(start.time + (index + 1) * period, 0), "tick", 0)
-    summary = fed.run()
-    return {"summary": dataclasses.asdict(summary)}
-
-
-def run_ordering_sub(cfg: dict) -> dict:
+def run_sub(cfg: dict) -> dict:
+    """Check every message's tag order and publisher sequence, stamp
+    ``dones[seq]`` once all ``n_publishers`` copies of ``seq`` are handled,
+    and stop after ``message_count_total`` messages.  A late arrival is
+    counted as detected, and as handled."""
     fed = _build_federate(cfg)
     clock = MonotonicClock()
     total = cfg["message_count_total"]
-    last_tag: list = [None]
+    expect = cfg["n_publishers"]
+    copies: dict[int, int] = {}
+    dones: dict[int, int] = {}
     next_seq: dict[int, int] = {}
-    tag_order_errors = 0
-    seq_inversions = 0
-    detected = []
     delays: list[int] = []
-    handled = [0]
+    last_tag = None
+    handled = detected = tag_order_errors = seq_inversions = 0
 
-    def maybe_stop(fed_):
-        if handled[0] >= total:
-            fed_.request_stop()
+    def handle(ctx) -> None:
+        nonlocal handled
+        seq = int(ctx.value[1])
+        copies[seq] = copies.get(seq, 0) + 1
+        if copies[seq] == expect:
+            dones[seq] = clock.now_ns()
+        handled += 1
+        if handled >= total:
+            ctx.federate.request_stop()
 
     def on_msg(ctx):
-        nonlocal tag_order_errors, seq_inversions
-        handled[0] += 1
-        if last_tag[0] is not None and not (last_tag[0] < ctx.tag):
+        nonlocal last_tag, tag_order_errors, seq_inversions
+        if last_tag is not None and not (last_tag < ctx.tag):
             tag_order_errors += 1
-        last_tag[0] = ctx.tag
+        last_tag = ctx.tag
         pub, seq = int(ctx.value[0]), int(ctx.value[1])
         if seq < next_seq.get(pub, 0):
             seq_inversions += 1
         next_seq[pub] = max(next_seq.get(pub, 0), seq + 1)
+        if len(ctx.value) > 2:
+            _ = ctx.value[2][-1]  # the payload must actually be present
         delays.append(max(1, clock.now_ns() - ctx.tag.time))
-        maybe_stop(ctx.federate)
+        handle(ctx)
 
     def on_late(ctx):
-        handled[0] += 1
-        detected.append({"time": ctx.tag.time, "microstep": ctx.tag.microstep,
-                         "lateness_ns": ctx.lateness_ns})
-        maybe_stop(ctx.federate)
+        nonlocal detected
+        detected += 1
+        handle(ctx)
 
     fed.on("in", on_msg, on_stp_violation=on_late)
     summary = fed.run()
     return {
         "summary": dataclasses.asdict(summary),
+        "dones": dones,
         "tag_order_errors": tag_order_errors,
         "seq_inversions": seq_inversions,
-        "detected_violations": len(detected),
-        "processed": handled[0] - len(detected),
+        "detected_violations": detected,
+        "processed": handled - detected,
         "delays_ns": delays,
     }
 
 
 def run_echo(cfg: dict) -> dict:
-    options = ConnectionOptions(
-        eager_buffer_bytes=cfg.get("eager_buffer_bytes", 65536),
-        disable_coalescing=cfg.get("disable_coalescing", True),
-    )
-    listener = FrameListener("127.0.0.1", 0, options)
+    listener = FrameListener("127.0.0.1", 0, _options(cfg))
     host, port = listener.address
     print(f"echo listening on {host}:{port}", flush=True)
     conn = listener.accept()
@@ -210,15 +158,7 @@ def run_echo(cfg: dict) -> dict:
     return {"summary": {"status": "completed"}}
 
 
-ROLES = {
-    "broadcast_pub": run_broadcast_pub,
-    "broadcast_sub": run_broadcast_sub,
-    "gather_pub": run_gather_pub,
-    "gather_sub": run_gather_sub,
-    "ordering_pub": run_ordering_pub,
-    "ordering_sub": run_ordering_sub,
-    "echo": run_echo,
-}
+ROLES = {"pub": run_pub, "sub": run_sub, "echo": run_echo}
 
 
 def _boost_scheduling() -> None:

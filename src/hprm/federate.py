@@ -261,7 +261,7 @@ class Federate:
         self._finished = False
 
         self.start_tag: Tag | None = None
-        self.executed_tags: list[Tag] = []
+        self.executed = 0  # tags run
         self.stp_violations = 0
         self.deadline_misses = 0
         self.messages_sent = 0
@@ -414,18 +414,13 @@ class Federate:
         store recycles it once they are done.  The mapping closes first.
         Returns the object id, which is all an OBJ_REF carries."""
         layout = build_layout(payload)
+        pieces = [(0, layout.header), *zip(layout.segment_offsets, payload.segments)]
         try:
-            obj = self._store.create(layout.total_bytes)
-            obj.write(0, layout.header)
-            for offset, seg in zip(layout.segment_offsets, payload.segments):
-                obj.write(offset, seg)
-            obj.close()
-            obj.seal(reads)
+            return self._store.put(layout.total_bytes, pieces, reads)
         except (StoreError, OSError) as exc:
             raise DeliveryError(
                 f"{self.fid}: storing a {layout.total_bytes}-byte payload: {exc}"
             ) from exc
-        return obj.oid
 
     # -- startup -----------------------------------------------------------------
 
@@ -530,8 +525,12 @@ class Federate:
         try:
             while (frame := conn.recv_frame()) is not None:
                 self._dispatch_peer_frame(conn, src, frame)
-        except (TransportError, OSError, ValueError) as exc:
+        except (TransportError, OSError, ValueError, KeyError) as exc:
             log.warning("%s: inbound connection from %s failed: %s", self.fid, src, exc)
+            if isinstance(exc, (ValueError, KeyError)):
+                # The frame does not decode, or names a port or federate
+                # that is not ours: its message cannot be delivered.
+                self._lose_message(f"a frame from {src!r} could not be delivered: {exc!r}")
         finally:
             with self._lock:
                 # Fail-stop: a vanished upstream sends nothing further.
@@ -562,18 +561,9 @@ class Federate:
                     raise StoreError(Status.BAD_REQUEST, "no object store is configured")
                 sealed = self._store.get(oid)
             except (StoreError, OSError) as exc:
-                # The message is lost: fail the run rather than carry on
-                # without it.  It did arrive, so count it and report, or
-                # the coordinator would wait forever for it to land.
-                with self._lock:
-                    if self._fatal is None:
-                        self._fatal = DeliveryError(
-                            f"{self.fid}: object {oid.hex()[:12]} from "
-                            f"{src!r} could not be read: {exc}"
-                        )
-                    self.messages_received += 1
-                    self._report_progress_locked(force=True)
-                    self._cond.notify_all()
+                self._lose_message(
+                    f"object {oid.hex()[:12]} from {src!r} could not be read: {exc}"
+                )
                 return
             try:
                 conn.send_frame(Frame(FrameType.OBJ_ACK, frame.tag))
@@ -589,8 +579,17 @@ class Federate:
                 sealed = None
             payload = decode_payload(view)
             self._arrive(frame, src, payload, sealed)
-        elif frame.type == FrameType.PING:
-            conn.send_frame(frame)
+
+    def _lose_message(self, detail: str) -> None:
+        """A message arrived but cannot be delivered: fail the run rather
+        than carry on without it.  It did arrive, so count it and report,
+        or the coordinator would wait forever for it to land."""
+        with self._lock:
+            if self._fatal is None:
+                self._fatal = DeliveryError(f"{self.fid}: {detail}")
+            self.messages_received += 1
+            self._report_progress_locked(force=True)
+            self._cond.notify_all()
 
     def _arrive(self, frame: Frame, src: str, payload, sealed) -> None:
         fed, port = self.topology.port_name(frame.port)
@@ -781,7 +780,7 @@ class Federate:
         return RunSummary(
             fid=self.fid,
             status=status,
-            executed=len(self.executed_tags),
+            executed=self.executed,
             stop_tag=self._stop_tag,
             stp_violations=self.stp_violations,
             deadline_misses=self.deadline_misses,
@@ -804,7 +803,7 @@ class Federate:
             with self._lock:
                 self._executing = False
                 self._completed = self._current
-                self.executed_tags.append(self._current)
+                self.executed += 1
                 self._report_progress_locked()
                 self._cond.notify_all()
 

@@ -410,8 +410,6 @@ class RtiServer:
                         )
                         if info is not None:
                             self._broadcast_stop(info)
-                    elif frame.type == FrameType.PING:
-                        conn.send_frame(frame)
                     else:
                         raise RtiProtocolError(
                             f"{fid!r} sent unexpected {FrameType(frame.type).name}"

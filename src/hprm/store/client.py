@@ -198,6 +198,17 @@ class StoreClient:
         value, _, fd = self._request(wire.Op.CREATE, oid, size, maps=True)
         return WritableObject(self, oid, value, fd)
 
+    def put(self, size: int, pieces, reads: int = 0) -> bytes:
+        """Create a ``size``-byte object, write each ``(offset, data)`` of
+        ``pieces`` into it, close the mapping, then seal it for ``reads``
+        gets.  Returns the object's id."""
+        obj = self.create(size)
+        with obj:
+            for offset, data in pieces:
+                obj.write(offset, data)
+        self.seal(obj.oid, reads)
+        return obj.oid
+
     def get(self, oid: bytes) -> SealedObject:
         value, _, fd = self._request(wire.Op.GET, oid, maps=True)
         return SealedObject(self, oid, value, fd)

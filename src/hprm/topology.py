@@ -24,7 +24,7 @@ from hprm.tags import NO_DELAY, Delay
 
 
 class TopologyError(ValueError):
-    """Raised when a graph fails validation and validity was required."""
+    """Raised when a graph fails validation."""
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -57,9 +57,9 @@ class TopologyReport:
 class Topology:
     """Immutable federation graph with derived routing indexes.
 
-    Build instances through :meth:`build`, which normalizes ordering so
-    that two topologies with the same edges compare equal and number their
-    ports identically regardless of input order.
+    Build instances through :meth:`build`, which validates the graph and
+    normalizes ordering so that two topologies with the same edges compare
+    equal and number their ports identically regardless of input order.
     """
 
     federates: tuple[str, ...]
@@ -71,19 +71,15 @@ class Topology:
 
     @classmethod
     def build(
-        cls,
-        federates: Iterable[str],
-        connections: Iterable[Connection] = (),
-        *,
-        require_valid: bool = False,
+        cls, federates: Iterable[str], connections: Iterable[Connection] = ()
     ) -> "Topology":
+        """A validated topology; raises TopologyError for any violation."""
         topo = cls(tuple(sorted(set(federates))), tuple(sorted(connections)))
-        if require_valid:
-            report = validate_topology(topo)
-            if not report.ok:
-                raise TopologyError(
-                    "; ".join(f"{v.kind}: {v.detail}" for v in report.violations)
-                )
+        report = validate_topology(topo)
+        if not report.ok:
+            raise TopologyError(
+                "; ".join(f"{v.kind}: {v.detail}" for v in report.violations)
+            )
         return topo
 
     def __post_init__(self) -> None:

@@ -12,8 +12,8 @@ body.  Header layout, all little-endian:
 
 The receive path is eager: each connection allocates its receive buffer
 once, up front, and every frame is read into it -- no per-message
-allocation, no deferred reads.  ``receive_buffer_allocations`` stays at 1
-for the life of the connection and tests assert exactly that.  One
+allocation, no deferred reads.  Every read of a connection's life fills
+that one buffer; the tests watch the socket to check it.  One
 ``recv_into`` takes whatever has arrived, up to the buffer's end, and
 ``recv_frame`` parses frames out of the buffer before it reads again, so
 a burst of small frames costs one system call.  A partial frame left
@@ -144,9 +144,6 @@ class FrameConnection:
         self._view = memoryview(self._buf)
         self._start = 0  # buf[_start:_end] holds received, unparsed bytes
         self._end = 0
-        self.receive_buffer_allocations = 1
-        self.frames_sent = 0
-        self.frames_received = 0
         self._closed = False
 
     def send_frame(self, frame: Frame) -> None:
@@ -160,7 +157,6 @@ class FrameConnection:
             self._sock.sendall(header)
             if frame.body:
                 self._sock.sendall(frame.body)
-            self.frames_sent += 1
 
     def _fill(self, count: int) -> bool:
         """Hold at least ``count`` unparsed bytes, reading whatever has
@@ -198,7 +194,6 @@ class FrameConnection:
         self._start += size
         if self._start == self._end:
             self._start = self._end = 0
-        self.frames_received += 1
         return Frame(ftype, tag, port, body, flags)
 
     def close(self) -> None:

@@ -24,7 +24,7 @@ from hprm.store import StoreClient
 from hprm.store.daemon import StoreDaemon
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Delay, Tag, bound_tag, delay_tag
 from hprm.topology import Connection, Topology
-from hprm.serde import decode_payload, deserialize, serialize
+from hprm.serde import decode_payload, deserialize, encode_payload, serialize
 from hprm.store.wire import ID_BYTES
 from hprm.transport import (
     HEADER_BYTES,
@@ -413,6 +413,43 @@ def test_delayed_ring_drains_and_stops():
     assert [fid for fid, _ in hops] == ["left", "right"] * 4 + ["left"]
     assert all(isinstance(r, RunSummary) and r.status == "completed"
                for r in results.values())
+
+
+def test_decentralized_ring_halts_on_the_drain_deadline():
+    """A decentralized cycle forwards no promises, so the arrival floor
+    never clears the stop tag: each federate halts on the drain deadline
+    instead, in bounded time."""
+    topo = Topology.build(
+        ["left", "right"],
+        [
+            Connection("left", "out", "right", "in", Delay(3 * MS)),
+            Connection("right", "out", "left", "in", Delay(3 * MS)),
+        ],
+    )
+    feds = [
+        Federate(FederateConfig(fid=f, mode=DECENTRALIZED), topo)
+        for f in ("left", "right")
+    ]
+    hops = []
+
+    def relay(ctx):
+        hops.append(ctx.value)
+        if ctx.value > 0:
+            ctx.publish("out", ctx.value - 1)
+        else:
+            ctx.federate.request_stop()
+
+    for fed in feds:
+        fed.on("in", relay)
+    results = run_federation(
+        topo, feds,
+        lambda f, start: f.schedule(Tag(start.time + MS, 0), "in", 4)
+        if f.fid == "left"
+        else None,
+        timeout=10,
+    )
+    assert hops == [4, 3, 2, 1, 0]
+    assert all(isinstance(r, RunSummary) for r in results.values()), results
 
 
 def test_reaction_chain_through_intermediate_federate():
@@ -876,7 +913,8 @@ def test_large_eager_buffer_carries_a_large_payload_inline():
 
 def test_malformed_obj_ref_ends_the_inbound_connection(caplog):
     """A 21-byte OBJ_REF body is not an object id: the reader logs the
-    fault, stops reading that connection and takes its upstream as gone."""
+    fault, fails the run over the lost message, stops reading that
+    connection and takes its upstream as gone."""
     topo = pipeline("pub", "sub")
     sub = Federate(FederateConfig(fid="sub"), topo)
     port = topo.port_number("sub", "in")
@@ -890,8 +928,42 @@ def test_malformed_obj_ref_ends_the_inbound_connection(caplog):
     assert not reader.is_alive()
     assert sub._watermarks["pub"] == FOREVER
     assert len(feed.frames) == 1  # nothing read past the bad frame
-    assert sub.messages_received == 0
+    assert sub.messages_received == 1  # it arrived, and is counted as lost
     assert "inbound connection from pub failed" in caplog.text
+    assert isinstance(sub._fatal, DeliveryError), sub._fatal
+    assert "'pub'" in str(sub._fatal)
+
+
+@pytest.mark.parametrize(
+    "body, port",
+    [(b"\x01garbage", None), (encode_payload(serialize(7)), 99)],
+    ids=["undecodable-body", "unknown-port"],
+)
+def test_undeliverable_frame_is_a_delivery_error(body, port):
+    """A data frame whose body does not decode, or whose port id the
+    topology does not have, cannot be delivered: run() raises a
+    DeliveryError that names the source, rather than going on without it."""
+    topo = pipeline("pub", "sub")
+    pub = Federate(FederateConfig(fid="pub"), topo)
+    sub = Federate(FederateConfig(fid="sub"), topo)
+    got = []
+    sub.on("in", lambda ctx: got.append(ctx.value))
+
+    def tick(ctx):
+        number = topo.port_number("sub", "in") if port is None else port
+        frame = Frame(FrameType.TAGGED_MSG, ctx.tag, number, body)
+        ctx.federate._peers_out["sub"].send_frame(frame)
+        ctx.federate.request_stop()
+
+    pub.on("tick", tick)
+    results = run_federation(
+        topo, [pub, sub],
+        lambda f, s: f.schedule(Tag(s.time + MS, 0), "tick") if f.fid == "pub" else None,
+        timeout=10,
+    )
+    assert isinstance(results["sub"], DeliveryError), results["sub"]
+    assert "'pub'" in str(results["sub"])
+    assert got == []
 
 
 def test_publisher_waits_for_a_slow_reader(tmp_path, monkeypatch):
@@ -992,7 +1064,7 @@ def test_a_late_store_payload_leaves_no_pin_counted(store):
 
     def tick(ctx):
         deadline = time.monotonic() + 5
-        while not sub.executed_tags and time.monotonic() < deadline:
+        while not sub.executed and time.monotonic() < deadline:
             time.sleep(0.002)  # publish only once sub ran a later tag
         ctx.publish("out", np.ones(100_000))
 

@@ -431,8 +431,8 @@ def federation_cases(draw):
         connections.append(
             Connection(federates[src], f"o{k}", federates[dst], f"i{k}", Delay(delay))
         )
+    assume(validate_topology(Topology(tuple(federates), tuple(connections))).ok)
     topology = Topology.build(federates, connections)
-    assume(validate_topology(topology).ok)
     initial = {}
     for fid in federates:
         tags = draw(
