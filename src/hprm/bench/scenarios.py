@@ -22,6 +22,8 @@ Modes:
 from __future__ import annotations
 
 import json
+import os
+import select
 import statistics
 import subprocess
 import sys
@@ -171,16 +173,26 @@ class _Procs:
                 proc.kill()
 
 
+ADDRESS_DEADLINE_S = 15.0  # for a daemon's or worker's address banner
+
+
 def _read_address(procs: _Procs, name: str, proc, banner: str) -> tuple[str, int]:
-    """The ``host:port`` that ``proc`` prints after ``banner`` on stdout."""
-    deadline = time.monotonic() + 15
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline().decode()
-        if line.startswith(banner):
-            host, _, port = line.rsplit(maxsplit=1)[-1].rpartition(":")
-            return host, int(port)
-        if not line and proc.poll() is not None:
+    """The ``host:port`` that ``proc`` prints after ``banner`` on stdout,
+    within ``ADDRESS_DEADLINE_S``, however little the process writes."""
+    fd = proc.stdout.fileno()
+    deadline = time.monotonic() + ADDRESS_DEADLINE_S
+    pending = b""
+    while (left := deadline - time.monotonic()) > 0:
+        if not select.select([fd], [], [], left)[0]:
             break
+        chunk = os.read(fd, 4096)
+        if not chunk:
+            break
+        *lines, pending = (pending + chunk).split(b"\n")
+        for text in map(bytes.decode, lines):
+            if text.startswith(banner):
+                host, _, port = text.rsplit(maxsplit=1)[-1].rpartition(":")
+                return host, int(port)
     procs.kill_all()
     raise BenchError(f"{name} failed to start: {procs.stderr_tail(name)}")
 

@@ -33,7 +33,7 @@ from hprm.clock import MonotonicClock
 from hprm.federate import Federate, FederateConfig
 from hprm.tags import Tag
 from hprm.topology import Topology
-from hprm.transport import ConnectionOptions, FrameListener, serve_echo
+from hprm.transport import ConnectionOptions, FrameListener, listen, serve_echo
 
 
 def _options(cfg: dict) -> ConnectionOptions:
@@ -57,7 +57,7 @@ def _build_federate(cfg: dict) -> Federate:
     listener = None
     if cfg.get("inject_recv_jitter_ns"):
         listener = DelayListener(
-            FrameListener(fed_cfg.listen_host, 0, options),
+            listen(fed_cfg.listen_host, options),
             cfg["inject_recv_jitter_ns"],
             cfg.get("jitter_seed", 0),
         )

@@ -1,9 +1,8 @@
 """The federate runtime: tag-ordered event processing.
 
 A federate owns a priority queue of tagged events and runs reactions
-over them strictly in tag order.  What varies between the two
-coordination modes is the *gate*: the condition under which the earliest
-queued event may be processed.
+over them strictly in tag order.  The two coordination modes differ in
+the *gate*: when the earliest queued event may be processed.
 
 Centralized mode gates each event at tag ``h`` on three conditions:
 
@@ -13,33 +12,45 @@ Centralized mode gates each event at tag ``h`` on three conditions:
 
 The floor is the earliest tag that could still arrive, computed from
 per-upstream watermarks: every federate forwards its announcements down
-its data connections, and because the stream is FIFO, a watermark
-guarantees all earlier-tagged data on that connection has already been
-seen.  The strictness matters -- a grant can equal an upstream bound, in
-which case the data at that bound may still be in flight.  With the
-floor gate, processing an event out of order is structurally impossible
-rather than merely unlikely.
+its data connections, and as the stream is FIFO, a watermark guarantees
+that all earlier-tagged data on that connection has been seen.  The
+strictness matters: a grant can equal an upstream bound, and data at
+that bound may still be in flight.  So processing an event out of order
+is structurally impossible, not merely unlikely.
 
 Decentralized mode gates only on the physical clock: an event at tag
-``h`` runs once ``now >= h.time + stp_offset``.  The offset is the
-safe-to-process margin; if it underestimates worst-case delivery (clock
-error plus network latency), a message can arrive for a tag that was
-already processed.  Such arrivals are *detected* -- counted and handed
-to the violation handler or dropped -- never silently processed out of
-order.
+``h`` runs once ``now >= h.time + stp_offset``, the safe-to-process
+margin.  If it underestimates worst-case delivery (clock error plus
+network latency), a message can arrive for a tag already processed.
+Such arrivals are *detected* -- counted and handed to the violation
+handler or dropped -- never silently processed out of order.
 
 Announcements double as promises: a federate reports the minimum of its
 queue head and its arrival floor (and, while mid-tag, the tag being
-executed, whose reactions may still publish), which keeps every report
+executed, whose reactions may still publish), so every report is
 monotone even though arrivals can land ahead of the queue head.  Each
 report to the coordinator also carries the last completed tag.
 
-The runtime reads physical time only from its ``clock`` and takes
-inbound connections only from its ``listener``; both are constructor
-seams.  Tests drive the gates with a manual clock, and the benchmark
-models network latency with a listener whose connections hold frames
-back (:mod:`hprm.bench.delayline`), so the runtime itself carries no
-test instrumentation.
+One event loop on the thread that calls :meth:`Federate.run` serves the
+listener, the coordinator and every peer; the gate's wait is its
+``select`` timeout.  Before it runs a head whose gate is open it reads
+what is ready, so input for an earlier tag runs first.  Frames are
+queued as read and dispatched in that order, between reactions or while
+a publish waits for acknowledgements.  While the head waits for the
+clock or a grant, and as the loop reads just before it runs, data for
+later tags stays queued unless input for the head's tag or an earlier
+one was read after it (see :mod:`hprm.loop`), so a slow reader does not
+pin store objects far ahead of the events it runs.  A send that fills a peer's socket buffer
+keeps reading until the rest fits, so peers that send each other large
+frames never wait on each other.  Peers on one host use Unix sockets,
+other peers and the coordinator TCP.  Only ``request_stop`` may be
+called from another thread.
+
+Physical time comes only from the ``clock`` and inbound connections only
+from the ``listener``, both constructor seams: tests drive the gates
+with a manual clock, and the benchmark models network latency with a
+listener whose connections hold frames back (:mod:`hprm.bench.delayline`),
+so the runtime carries no test instrumentation.
 """
 
 from __future__ import annotations
@@ -48,11 +59,12 @@ import heapq
 import json
 import logging
 import os
-import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from hprm.clock import Clock, MonotonicClock
+from hprm.loop import FrameLoop, Link
 from hprm.rti import encode_progress
 from hprm.serde import (
     SerializedPayload,
@@ -74,6 +86,7 @@ from hprm.transport import (
     FrameType,
     TransportError,
     connect,
+    listen,
 )
 
 log = logging.getLogger(__name__)
@@ -84,24 +97,6 @@ DECENTRALIZED = "decentralized"
 # OBJ_REF frames a reader may leave unacknowledged: the store may evict an
 # object no one has pinned yet, so a publisher must not run further ahead.
 OBJ_WINDOW = 4
-
-
-def _elevate_io_thread() -> None:
-    """Rank inbound threads above the executor under a real-time policy.
-
-    On Linux these scheduler calls act on the calling thread.  When the
-    process was given a real-time class, delivery threads taking one
-    priority step more means that after any scheduling stall the pending
-    arrivals become visible before the executor evaluates a gate on
-    their absence.  A no-op everywhere else; kept because the
-    ``hprm.bench`` workers run under ``SCHED_FIFO``."""
-    try:
-        policy = os.sched_getscheduler(0)
-        if policy in (os.SCHED_FIFO, os.SCHED_RR):
-            prio = os.sched_getparam(0).sched_priority
-            os.sched_setscheduler(0, policy, os.sched_param(prio + 1))
-    except (AttributeError, OSError):
-        pass
 
 
 class FederateError(Exception):
@@ -158,12 +153,9 @@ class FederateConfig:
         if "rti_address" not in overrides and env.get("HPRM_RTI_ADDR"):
             host, _, port = env["HPRM_RTI_ADDR"].rpartition(":")
             overrides["rti_address"] = (host, int(port))
-        if "store_path" not in overrides and env.get("HPRM_STORE_PATH"):
-            overrides["store_path"] = env["HPRM_STORE_PATH"]
-        if "mode" not in overrides and env.get("HPRM_MODE"):
-            overrides["mode"] = env["HPRM_MODE"]
-        if "stp_offset_ns" not in overrides and env.get("HPRM_STP_OFFSET_NS"):
-            overrides["stp_offset_ns"] = int(env["HPRM_STP_OFFSET_NS"])
+        for key, kind in (("store_path", str), ("mode", str), ("stp_offset_ns", int)):
+            if key not in overrides and env.get(f"HPRM_{key.upper()}"):
+                overrides[key] = kind(env[f"HPRM_{key.upper()}"])
         return cls(fid=fid, **overrides)
 
 
@@ -199,11 +191,8 @@ class _Queued:
     payload: SerializedPayload | None = None
     sealed: SealedObject | None = None
 
-    def sort_key(self):
-        return (self.tag, self.seq)
-
     def __lt__(self, other: "_Queued") -> bool:
-        return self.sort_key() < other.sort_key()
+        return (self.tag, self.seq) < (other.tag, other.seq)
 
 
 @dataclass(frozen=True)
@@ -232,7 +221,7 @@ class Federate:
         self.config = config
         self.topology = topology
         self.clock = clock or MonotonicClock()
-        self._listener = listener  # None: start() binds a FrameListener
+        self._listener = listener  # None: start() listens on listen_host
         self.fid = config.fid
         self._in_edges = [
             c for c in topology.inputs_of(self.fid) if c.src != self.fid
@@ -243,11 +232,10 @@ class Federate:
             {c.dst for c in self._out_edges if c.dst != self.fid}
         )
 
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._queue: list[_Queued] = []
         self._seq = 0
         self._watermarks: dict[str, Tag] = {}
+        self._floor_of: tuple[tuple, Tag] = ((), FOREVER)  # see _floor
         self._granted = NEVER
         self._current = NEVER
         self._completed = NEVER
@@ -256,7 +244,7 @@ class Federate:
         self._drain_deadline_ns: int | None = None
         self._announced: Tag | None = None
         self._fatal: BaseException | None = None
-        self._violations: list[tuple[_Queued, int]] = []
+        self._violations: deque[tuple[_Queued, int]] = deque()
         self._started = False
         self._finished = False
 
@@ -271,7 +259,7 @@ class Federate:
         self._rti: FrameConnection | None = None
         self._peers_out: dict[str, FrameConnection] = {}
         self._peers_in: list[FrameConnection] = []
-        self._threads: list[threading.Thread] = []
+        self._loop = FrameLoop()
         self._store: StoreClient | None = None  # publishes, gets and releases
         self._pin_budget = 0  # bytes queued events may pin; see _dispatch_peer_frame
         self._pinned_bytes = 0  # bytes pinned by the events in _queue
@@ -301,59 +289,45 @@ class Federate:
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, tag: Tag, port: str, value=None) -> None:
-        """Queue a local event."""
+        """Queue a local event, before :meth:`run` or from a reaction."""
         if not tag.is_finite():
             raise ValueError(f"cannot schedule at {tag!r}")
-        with self._lock:
-            if self.start_tag is not None and tag < self.start_tag:
-                raise ValueError(
-                    f"tag {tag!r} is before the federation start {self.start_tag!r}"
-                )
-            if tag <= self._current:
-                raise ValueError(
-                    f"tag {tag!r} is not after the current tag {self._current!r}"
-                )
-            if (
-                self.config.mode == CENTRALIZED
-                and self._announced is not None
-                and tag < self._announced
-            ):
-                # Progress already promised past this tag; accepting it
-                # would make the next announcement go backwards.
-                raise ValueError(
-                    f"tag {tag!r} is below the announced promise {self._announced!r}"
-                )
-            self._push(_Queued(tag, self._next_seq(), port, value=value))
+        if self.start_tag is not None and tag < self.start_tag:
+            raise ValueError(
+                f"tag {tag!r} is before the federation start {self.start_tag!r}"
+            )
+        if tag <= self._current:
+            raise ValueError(
+                f"tag {tag!r} is not after the current tag {self._current!r}"
+            )
+        if (
+            self.config.mode == CENTRALIZED
+            and self._announced is not None
+            and tag < self._announced
+        ):
+            # Progress already promised past this tag; accepting it
+            # would make the next announcement go backwards.
+            raise ValueError(
+                f"tag {tag!r} is below the announced promise {self._announced!r}"
+            )
+        heapq.heappush(self._queue, _Queued(tag, self._next_seq(), port, value=value))
 
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    def _push(self, item: _Queued) -> None:
-        """Queue an item, waking the executor only for a new head whose
-        gate waits on nothing that another thread signals: the grant or
-        watermark such a head waits on wakes the executor when it comes."""
-        heapq.heappush(self._queue, item)
-        if self._queue[0] is item:
-            if self._gate_wait_ns(item, self.clock.now_ns()) != 0:
-                self._cond.notify_all()
 
     # -- publishing ----------------------------------------------------------
 
     def publish(self, port: str, value) -> int:
         """Send a value from the executing tag down every matching connection.
 
-        A payload travels inline when its frame fits one eager buffer, the
-        largest frame the transport takes; a larger one goes through the
-        object store, one shared object for the whole fan-out.  Self-loop
-        edges take ``value`` itself, so a payload is built only for remote
-        edges.  A store reference waits until its reader has acknowledged
-        all but ``OBJ_WINDOW - 1`` earlier ones.  Returns the number of
-        deliveries."""
-        with self._lock:
-            if not self._executing:
-                raise FederateError("publish is only legal inside a reaction")
-            current = self._current
+        A payload travels inline when its frame fits one eager buffer, else
+        as one store object for the whole fan-out, created once each reader
+        has fewer than ``OBJ_WINDOW`` references unacknowledged.  Self-loop
+        edges take ``value`` itself.  Returns the number of deliveries."""
+        if not self._executing:
+            raise FederateError("publish is only legal inside a reaction")
+        current = self._current
         edges = [c for c in self._out_edges if c.src_port == port]
         remote = sum(e.dst != self.fid for e in edges)
         frame_type = body = None
@@ -368,16 +342,21 @@ class Federate:
                     "and no object store is configured"
                 )
             else:
+                # Each reader's window first: a new object could evict one
+                # that a reader has not pinned yet.
+                for edge in edges:
+                    if edge.dst != self.fid:
+                        self._await_ack(edge.dst)
                 frame_type = FrameType.OBJ_REF
                 body = self._store_payload(payload, remote)
         delivered = 0
         for edge in edges:
             out_tag = delay_tag(current, edge.delay)
             if edge.dst == self.fid:
-                with self._lock:
-                    self._push(
-                        _Queued(out_tag, self._next_seq(), edge.dst_port, value=value)
-                    )
+                heapq.heappush(
+                    self._queue,
+                    _Queued(out_tag, self._next_seq(), edge.dst_port, value=value),
+                )
                 delivered += 1
                 continue
             port_id = self.topology.port_number(edge.dst, edge.dst_port)
@@ -386,33 +365,26 @@ class Federate:
             if conn is None:
                 raise DeliveryError(f"no connection to {edge.dst!r}")
             try:
-                if frame_type == FrameType.OBJ_REF:
-                    self._await_ack(edge.dst, conn)
                 conn.send_frame(frame)
             except (TransportError, OSError) as exc:
                 raise DeliveryError(f"sending to {edge.dst!r}: {exc}") from exc
-            with self._lock:
-                self.messages_sent += 1
+            self.messages_sent += 1
             delivered += 1
         return delivered
 
-    def _await_ack(self, dst: str, conn: FrameConnection) -> None:
-        """Count one more OBJ_REF to ``dst``, first reading its OBJ_ACKs
-        until fewer than ``OBJ_WINDOW`` are unacknowledged."""
-        unacked = self._unacked.get(dst, 0)
-        while unacked >= OBJ_WINDOW:
-            frame = conn.recv_frame()
-            if frame is None:
-                raise TransportError("connection closed")
-            if frame.type == FrameType.OBJ_ACK:
-                unacked -= 1
-        self._unacked[dst] = unacked + 1
+    def _await_ack(self, dst: str) -> None:
+        """Count one more OBJ_REF to ``dst``, first serving the loop until
+        fewer than ``OBJ_WINDOW`` are unacknowledged."""
+        while self._unacked.get(dst, 0) >= OBJ_WINDOW:
+            if self._fatal is not None:
+                raise self._fatal
+            self._loop.serve(None)
+        self._unacked[dst] = self._unacked.get(dst, 0) + 1
 
     def _store_payload(self, payload: SerializedPayload, reads: int) -> bytes:
-        """Write ``payload``'s flat encoding into a new store object sealed
-        for ``reads`` gets, one per OBJ_REF frame about to be sent, so the
-        store recycles it once they are done.  The mapping closes first.
-        Returns the object id, which is all an OBJ_REF carries."""
+        """Write ``payload`` into a new store object sealed for ``reads``
+        gets, one per OBJ_REF about to be sent, so the store recycles it
+        once they are done.  Returns its id, all an OBJ_REF carries."""
         layout = build_layout(payload)
         pieces = [(0, layout.header), *zip(layout.segment_offsets, payload.segments)]
         try:
@@ -434,9 +406,7 @@ class Federate:
         if self.config.rti_address is None:
             raise FederateError("no coordination daemon address configured")
         opts = self.config.connection
-        self._listener = self._listener or FrameListener(
-            self.config.listen_host, 0, opts
-        )
+        self._listener = self._listener or listen(self.config.listen_host, opts)
         if self.config.store_path:
             self._store = StoreClient(self.config.store_path)
             self._pin_budget = self._store.stats()["capacity_bytes"] // 2
@@ -447,7 +417,7 @@ class Federate:
             {
                 "fid": self.fid,
                 "clock_ns": self.clock.now_ns(),
-                "address": list(self._listener.address),
+                "address": self._listener.address,
             }
         ).encode()
         self._rti.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=join_body))
@@ -456,97 +426,80 @@ class Federate:
             raise FederateError(f"expected START from the coordinator, got {frame}")
         self.start_tag = frame.tag
         addresses = json.loads(frame.body.decode())["addresses"]
-        with self._lock:
-            for src in self._upstream:
-                self._watermarks[src] = self.start_tag
+        for src in self._upstream:
+            self._watermarks[src] = self.start_tag
+        self._loop.watch(self._rti, self._from_rti)
         hello = json.dumps({"fid": self.fid}).encode()
         for dst in self._downstream:
-            conn = connect(
-                tuple(addresses[dst]), opts, retry_for=self.config.connect_retry_s
-            )
+            conn = connect(addresses[dst], opts, retry_for=self.config.connect_retry_s)
             conn.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=hello))
+            conn.wait_writable = lambda c=conn: self._loop.read_until_writable(c)
             self._peers_out[dst] = conn
-        self._spawn(self._accept_loop, "accept")
-        self._spawn(self._rti_reader, "rti-reader")
+            self._loop.watch(conn, self._from_downstream, dst)
+        if self._upstream:
+            self._loop.accept_from(self._listener, self._accept)
+        else:
+            self._listener.close()
         self._started = True
         return self.start_tag
 
-    def _spawn(self, target, name: str) -> None:
-        thread = threading.Thread(
-            target=target, name=f"{self.fid}-{name}", daemon=True
-        )
-        thread.start()
-        self._threads.append(thread)
-
-    def _accept_loop(self) -> None:
-        for _ in range(len(self._upstream)):
-            try:
-                conn = self._listener.accept()
-            except OSError:
-                return
-            try:
-                hello = conn.recv_frame()
-                src = json.loads(hello.body.decode())["fid"]
-            except (TransportError, ValueError, AttributeError, KeyError):
-                conn.close()
-                continue
-            self._peers_in.append(conn)
-            self._spawn(lambda c=conn, s=src: self._peer_reader(c, s), f"from-{src}")
-        self._listener.close()
-
     # -- inbound handling -------------------------------------------------------------
 
-    def _rti_reader(self) -> None:
-        try:
-            while True:
-                frame = self._rti.recv_frame()
-                if frame is None:
-                    break
-                with self._lock:
-                    if frame.type == FrameType.TAG_GRANT:
-                        if frame.tag > self._granted:
-                            head = self._queue[0].tag if self._queue else NEVER
-                            if self._granted < head <= frame.tag:
-                                self._cond.notify_all()  # the head waited on it
-                            self._granted = frame.tag
-                    elif frame.type == FrameType.STOP:
-                        self._stop_tag = frame.tag
-                        self._cond.notify_all()
-        except (TransportError, OSError):
-            pass
-        with self._lock:
+    def _accept(self, conn: FrameConnection) -> Link:
+        self._peers_in.append(conn)
+        if len(self._peers_in) == len(self._upstream):
+            self._loop.unwatch(self._listener)
+            self._listener.close()
+        return self._loop.watch(conn, self._from_upstream)
+
+    def _from_rti(self, link: Link, item: Frame | BaseException | None) -> None:
+        if not isinstance(item, Frame):
             if self._stop_tag is None and not self._finished:
                 # The coordinator vanished mid-run; stop where we are.
                 self._fatal = FederateError("lost the coordination daemon")
-            self._cond.notify_all()
+        elif item.type == FrameType.TAG_GRANT:
+            self._granted = max(self._granted, item.tag)
+        elif item.type == FrameType.STOP:
+            self._stop_tag = item.tag
 
-    def _peer_reader(self, conn: FrameConnection, src: str) -> None:
-        _elevate_io_thread()
-        try:
-            while (frame := conn.recv_frame()) is not None:
-                self._dispatch_peer_frame(conn, src, frame)
-        except (TransportError, OSError, ValueError, KeyError) as exc:
-            log.warning("%s: inbound connection from %s failed: %s", self.fid, src, exc)
-            if isinstance(exc, (ValueError, KeyError)):
-                # The frame does not decode, or names a port or federate
-                # that is not ours: its message cannot be delivered.
+    def _from_downstream(self, link: Link, item: Frame | BaseException | None) -> None:
+        if not isinstance(item, Frame):
+            self._unacked[link.peer] = 0  # gone: the next send to it fails
+        elif item.type == FrameType.OBJ_ACK:
+            self._unacked[link.peer] = self._unacked.get(link.peer, 0) - 1
+
+    def _from_upstream(self, link: Link, item: Frame | BaseException | None) -> None:
+        if link.peer is None:
+            try:
+                link.peer = json.loads(item.body.decode())["fid"]
+            except (ValueError, AttributeError, KeyError, TypeError):
+                link.done = True  # not a peer's hello
+                self._loop.unwatch(link.conn)
+                link.conn.close()
+            return
+        src = link.peer
+        if isinstance(item, Frame):
+            try:
+                self._dispatch_peer_frame(link.conn, src, item)
+                return
+            except (ValueError, KeyError) as exc:
+                # It does not decode, or names a port or federate not
+                # ours: fail the run and read nothing more from this peer.
+                item = exc
+                self._loop.unwatch(link.conn)
                 self._lose_message(f"a frame from {src!r} could not be delivered: {exc!r}")
-        finally:
-            with self._lock:
-                # Fail-stop: a vanished upstream sends nothing further.
-                self._watermarks[src] = FOREVER
-                self._report_progress_locked()
-                self._cond.notify_all()
+        if item is not None:
+            log.warning("%s: inbound connection from %s failed: %s", self.fid, src, item)
+        link.done = True
+        # Fail-stop: a vanished upstream sends nothing further.
+        self._watermarks[src] = FOREVER
+        self._report_progress()
 
-    def _dispatch_peer_frame(
-        self, conn: FrameConnection, src: str, frame: Frame
-    ) -> None:
+    def _dispatch_peer_frame(self, conn, src: str, frame: Frame) -> None:
         if frame.type == FrameType.NET:
-            with self._lock:
-                if frame.tag > self._watermarks.get(src, NEVER):
-                    self._watermarks[src] = frame.tag
-                    self._report_progress_locked()
-                    self._cond.notify_all()
+            if frame.tag > self._watermarks.get(src, NEVER):
+                self._watermarks[src] = frame.tag
+                self._report_progress()
         elif frame.type == FrameType.TAGGED_MSG:
             payload = decode_payload(frame.body)
             self._arrive(frame, src, payload, None)
@@ -581,64 +534,58 @@ class Federate:
             self._arrive(frame, src, payload, sealed)
 
     def _lose_message(self, detail: str) -> None:
-        """A message arrived but cannot be delivered: fail the run rather
-        than carry on without it.  It did arrive, so count it and report,
-        or the coordinator would wait forever for it to land."""
-        with self._lock:
-            if self._fatal is None:
-                self._fatal = DeliveryError(f"{self.fid}: {detail}")
-            self.messages_received += 1
-            self._report_progress_locked(force=True)
-            self._cond.notify_all()
+        """Fail the run over a message that arrived but cannot be
+        delivered, counting it so the coordinator need not wait for it."""
+        if self._fatal is None:
+            self._fatal = DeliveryError(f"{self.fid}: {detail}")
+        self.messages_received += 1
+        self._report_progress(force=True)
 
     def _arrive(self, frame: Frame, src: str, payload, sealed) -> None:
         fed, port = self.topology.port_name(frame.port)
         if fed != self.fid:
             raise ValueError(f"frame addressed to {fed!r} arrived at {self.fid!r}")
-        item = _Queued(
-            frame.tag, 0, port, payload=payload, sealed=sealed
-        )
-        with self._lock:
-            self.messages_received += 1
-            item.seq = self._next_seq()
-            if frame.tag <= self._current:
-                lateness = self._current.time - frame.tag.time
-                if self.config.mode == CENTRALIZED:
-                    self._fatal = OrderingFault(
-                        f"{self.fid}: event at {frame.tag!r} arrived after "
-                        f"processing {self._current!r}"
-                    )
-                else:
-                    self.stp_violations += 1
-                    self._violations.append((item, lateness))
-                self._cond.notify_all()
-                return
-            if sealed is not None:
-                self._pinned_bytes += sealed.size
-            self._push(item)
+        self.messages_received += 1
+        item = _Queued(frame.tag, self._next_seq(), port, payload=payload, sealed=sealed)
+        if frame.tag <= self._current:
+            lateness = self._current.time - frame.tag.time
+            if self.config.mode == CENTRALIZED:
+                self._fatal = OrderingFault(
+                    f"{self.fid}: event at {frame.tag!r} arrived after "
+                    f"processing {self._current!r}"
+                )
+            else:
+                self.stp_violations += 1
+                self._violations.append((item, lateness))
+            return
+        if sealed is not None:
+            self._pinned_bytes += sealed.size
+        heapq.heappush(self._queue, item)
 
     # -- progress reports ---------------------------------------------------------------
 
-    def _floor_locked(self) -> Tag:
-        floor = FOREVER
-        for edge in self._in_edges:
-            floor = min(floor, bound_tag(self._watermarks[edge.src], edge.delay))
-        return floor
+    def _floor(self) -> Tag:
+        marks = tuple(self._watermarks.values())
+        if marks != self._floor_of[0]:  # worked out again once a mark moves
+            floor = FOREVER
+            for edge in self._in_edges:
+                floor = min(floor, bound_tag(self._watermarks[edge.src], edge.delay))
+            self._floor_of = (marks, floor)
+        return self._floor_of[1]
 
-    def _promise_locked(self) -> Tag:
+    def _promise(self) -> Tag:
         head = self._queue[0].tag if self._queue else FOREVER
-        promise = min(head, self._floor_locked())
+        promise = min(head, self._floor())
         if self._executing:
-            # A reaction of the tag being executed may still publish at
-            # delay_tag(current, d), which only a promise of ``current``
-            # keeps at or above the floor that peers derive from it.
+            # A reaction may still publish at delay_tag(current, d): only a
+            # promise of ``current`` keeps that above the peers' floor.
             promise = min(promise, self._current)
         return promise
 
-    def _report_progress_locked(self, force: bool = False) -> None:
+    def _report_progress(self, force: bool = False) -> None:
         if self.config.mode != CENTRALIZED or not self._started or self._finished:
             return
-        promise = self._promise_locked()
+        promise = self._promise()
         if not force and promise == self._announced:
             return
         if self._announced is not None and promise < self._announced:
@@ -666,11 +613,11 @@ class Federate:
     def _gate_wait_ns(self, head: _Queued, now_ns: int) -> int | None:
         """None when the head may run now, else a wait hint in ns.
 
-        0 means "blocked on something another thread will signal"."""
+        0 means "blocked until input arrives"."""
         if self.config.mode == CENTRALIZED:
             if self._granted < head.tag:
                 return 0
-            if self._floor_locked() <= head.tag:
+            if self._floor() <= head.tag:
                 return 0
             due = head.tag.time
         else:
@@ -683,7 +630,7 @@ class Federate:
             return due - now_ns
         return None
 
-    def _pop_batch_locked(self) -> list[_Queued]:
+    def _pop_batch(self) -> list[_Queued]:
         tag = self._queue[0].tag
         batch = []
         while self._queue and self._queue[0].tag == tag:
@@ -704,74 +651,65 @@ class Federate:
             self.start()
         status = "completed"
         try:
-            with self._lock:
-                self._report_progress_locked(force=True)
+            self._report_progress(force=True)
+            polled = False  # input was read since the last batch ran
             while True:
-                work = None
-                with self._lock:
-                    while True:
-                        if self._fatal is not None:
-                            raise self._fatal
-                        if self._violations:
-                            work = ("violation", self._violations.pop(0))
-                            break
-                        head = self._queue[0] if self._queue else None
-                        drained = self._stop_tag is not None and (
-                            head is None or head.tag > self._stop_tag
-                        )
-                        if not drained:
-                            self._drain_deadline_ns = None
-                        if drained:
-                            # Nothing of ours remains at or before the stop
-                            # tag, but a peer's last message may still be in
-                            # flight.  Halt only once the arrival floor has
-                            # cleared the stop tag; halting federates close
-                            # their connections, which raises downstream
-                            # watermarks to FOREVER after the last buffered
-                            # byte, so the floor cascade terminates on any
-                            # acyclic topology in either mode (and on cycles
-                            # in centralized mode via forwarded promises).
-                            if self._floor_locked() > self._stop_tag:
-                                work = ("stop", None)
-                                break
-                            if self.config.mode == DECENTRALIZED:
-                                # A decentralized cycle has no promise
-                                # cascade; fall back to a generous clock
-                                # bound in the spirit of the mode.
-                                now = self.clock.now_ns()
-                                if self._drain_deadline_ns is None:
-                                    self._drain_deadline_ns = now + max(
-                                        2 * self.config.stp_offset_ns, 2_000_000_000
-                                    )
-                                if now >= self._drain_deadline_ns:
-                                    log.warning(
-                                        "%s: halting on the drain deadline with "
-                                        "the arrival floor below the stop tag",
-                                        self.fid,
-                                    )
-                                    work = ("stop", None)
-                                    break
-                                self._cond.wait(
-                                    min(0.25, (self._drain_deadline_ns - now) / 1e9)
-                                )
-                            else:
-                                self._cond.wait()
-                            continue
-                        if head is None:
-                            self._cond.wait()
-                            continue
-                        wait_ns = self._gate_wait_ns(head, self.clock.now_ns())
-                        if wait_ns is None:
-                            work = ("batch", self._pop_batch_locked())
-                            break
-                        self._cond.wait(wait_ns / 1e9 if wait_ns else None)
-                kind, item = work
-                if kind == "stop":
-                    break
-                if kind == "violation":
-                    self._handle_violation(*item)
+                if self._fatal is not None:
+                    raise self._fatal
+                if self._violations:
+                    self._handle_violation(*self._violations.popleft())
                     continue
-                self._execute_batch(item)
+                head = self._queue[0] if self._queue else None
+                timeout = hold = None
+                if self._stop_tag is not None and (
+                    head is None or head.tag > self._stop_tag
+                ):
+                    # Drained, but a peer's last message may be in flight:
+                    # halt once the floor clears the stop tag.  A halting
+                    # federate closes its connections (FOREVER after the
+                    # last byte), so this cascades through any acyclic
+                    # topology, and through centralized cycles by promises.
+                    if self._floor() > self._stop_tag:
+                        break
+                    if self.config.mode == DECENTRALIZED:
+                        # No promise crosses a decentralized cycle: bound
+                        # the drain by the clock instead.
+                        now = self.clock.now_ns()
+                        if self._drain_deadline_ns is None:
+                            self._drain_deadline_ns = now + max(
+                                2 * self.config.stp_offset_ns, 2_000_000_000
+                            )
+                        if now >= self._drain_deadline_ns:
+                            log.warning(
+                                "%s: halting on the drain deadline with "
+                                "the arrival floor below the stop tag",
+                                self.fid,
+                            )
+                            break
+                        timeout = min(0.25, (self._drain_deadline_ns - now) / 1e9)
+                elif head is not None:
+                    self._drain_deadline_ns = None
+                    wait_ns = self._gate_wait_ns(head, self.clock.now_ns())
+                    if wait_ns is None:
+                        if polled:
+                            polled = False
+                            self._execute_batch(self._pop_batch())
+                        else:
+                            # First take what has arrived: input for this
+                            # tag or an earlier one runs first.
+                            self._loop.poll(head.tag)
+                            polled = True
+                        continue
+                    if wait_ns:
+                        timeout = wait_ns / 1e9
+                    if self.config.mode == DECENTRALIZED or self._floor() > head.tag:
+                        # It waits for the clock or a grant, which no held
+                        # frame brings: data for later tags waits too.
+                        hold = head.tag
+                else:
+                    self._drain_deadline_ns = None
+                self._loop.serve(timeout, hold)
+                polled = True
         except BaseException:
             status = "faulted"
             raise
@@ -800,16 +738,14 @@ class Federate:
         finally:
             for item in batch:
                 self._release(item)
-            with self._lock:
-                self._executing = False
-                self._completed = self._current
-                self.executed += 1
-                self._report_progress_locked()
-                self._cond.notify_all()
+            self._executing = False
+            self._completed = self._current
+            self.executed += 1
+            self._report_progress()
 
     def _react(self, item: _Queued) -> None:
-        """Run the reactions to one event.  Its value, event and contexts
-        live in this frame only, so they are gone once it returns."""
+        """Run the reactions to one event; its value lives in this frame
+        only, so it is gone once this returns."""
         value = self._materialize(item)
         event = Event(item.tag, item.port, value)
         lateness = self.clock.now_ns() - item.tag.time
@@ -831,9 +767,8 @@ class Federate:
 
     @staticmethod
     def _release(item: _Queued) -> None:
-        """Unpin a store payload.  Its views go first, so that the mapping
-        can close and the store recycle the object; a view that a
-        reaction kept leaves the object cached until evicted."""
+        """Unpin a store payload, dropping its views first so the mapping
+        can close; a view a reaction kept leaves the object cached."""
         if item.sealed is not None:
             item.payload = None
             item.sealed.release()
@@ -861,22 +796,22 @@ class Federate:
     # -- shutdown ----------------------------------------------------------------------------
 
     def request_stop(self) -> None:
-        """Ask the coordinator to wind the federation down."""
-        with self._lock:
-            at = self._current if self._current.is_finite() else self.start_tag
+        """Ask the coordinator to wind the federation down.  Any thread
+        may call this."""
+        at = self._current if self._current.is_finite() else self.start_tag
         try:
             self._rti.send_frame(Frame(FrameType.STOP, at or Tag(0, 0)))
         except (TransportError, OSError):
             pass
 
     def _shutdown(self, status: str) -> None:
-        with self._lock:
-            self._finished = True
-            # Queued pins belong to the store session, which closes
-            # below: the daemon releases a dropped session's pins, so
-            # shutdown sends no release of its own.
-            self._queue.clear()
-            self._pinned_bytes = 0
+        self._finished = True
+        # Queued pins belong to the store session, which closes below:
+        # the daemon releases a dropped session's pins, so shutdown sends
+        # no release of its own.
+        self._queue.clear()
+        self._pinned_bytes = 0
+        self._loop.close()
         if self._rti is not None:
             try:
                 self._rti.send_frame(Frame(FrameType.RESIGN, self._completed if self._completed.is_finite() else Tag(0, 0)))

@@ -35,6 +35,10 @@ positive delay, empty-queue federates keep ratcheting their
 announcements upward by the cycle delay forever, never reaching
 ``FOREVER``.)  On quiescence, or on an explicit stop request, the daemon
 broadcasts a stop tag one microstep past the latest reported activity.
+
+:class:`RtiServer` serves the listener and every federate connection
+from one :class:`~hprm.loop.FrameLoop` on one thread.  It listens on
+TCP, and its sends are the transport's two ``sendall`` calls.
 """
 
 from __future__ import annotations
@@ -42,11 +46,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import socket
 import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
 
+from hprm.loop import FrameLoop, Link
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Tag, bound_tag, delay_tag
 from hprm.topology import Topology
 from hprm.transport import (
@@ -101,7 +107,7 @@ class FederateRecord:
     fid: str
     joined: bool = False
     resigned: bool = False
-    address: tuple[str, int] | None = None
+    address: tuple[str, int] | str | None = None
     clock_at_join_ns: int = 0
     announced: Tag = NEVER
     granted: Tag = NEVER
@@ -120,7 +126,7 @@ class Grant:
 @dataclass(frozen=True)
 class StartInfo:
     start_tag: Tag
-    addresses: dict[str, tuple[str, int]]
+    addresses: dict[str, tuple[str, int] | str]
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ class RtiState:
     # -- registration ------------------------------------------------------
 
     def register(
-        self, fid: str, clock_ns: int, address: tuple[str, int]
+        self, fid: str, clock_ns: int, address: tuple[str, int] | str
     ) -> StartInfo | None:
         """Record a join; returns start info once the roster is complete."""
         record = self._record(fid)
@@ -171,7 +177,7 @@ class RtiState:
             raise RtiProtocolError(f"federate {fid!r} joined after start")
         record.joined = True
         record.clock_at_join_ns = clock_ns
-        record.address = tuple(address)
+        record.address = address if isinstance(address, str) else tuple(address)
         if not all(r.joined for r in self.records.values()):
             return None
         latest = max(r.clock_at_join_ns for r in self.records.values())
@@ -302,7 +308,13 @@ class RtiState:
 
 
 class RtiServer:
-    """Socket front end: one reader thread per federate, shared RtiState."""
+    """Socket front end: one :class:`~hprm.loop.FrameLoop` serves the
+    listener and every federate connection on one thread, over a shared
+    RtiState.
+
+    ``start`` runs the loop on a thread of its own, ``serve_forever`` on
+    the caller's.  The loop ends once every expected federate has joined
+    and every connection has closed, or when ``close`` wakes it."""
 
     def __init__(
         self,
@@ -315,16 +327,24 @@ class RtiServer:
     ):
         self.state = RtiState(topology, startup_offset_ns=startup_offset_ns)
         self.options = options or ConnectionOptions()
-        self._listener = FrameListener(host, port, self.options)
-        self._lock = threading.Lock()
+        self._listener: FrameListener | None = FrameListener(host, port, self.options)
+        self._address = self._listener.address
+        self._loop = FrameLoop()
+        self._loop.accept_from(self._listener, self._accept)
+        # close() ends the other end of this pair, which wakes the loop.
+        wake, self._waker = socket.socketpair()
+        self._wake = self._loop.watch(FrameConnection(wake), self._woken)
+        self._to_accept = len(self.state.records)
+        self._sessions: set[Link] = set()
         self._conns: dict[str, FrameConnection] = {}
-        self._readers: list[threading.Thread] = []
-        self._accept_thread: threading.Thread | None = None
+        self._thread: threading.Thread | None = None
+        self._served = False
+        self._closing = False
         self._stop_broadcast = False
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._listener.address
+        return self._address
 
     # -- frame helpers -------------------------------------------------------
 
@@ -352,120 +372,138 @@ class RtiServer:
         if not self._stop_broadcast and self.state.autostop_ready():
             self._broadcast_stop(self.state.initiate_stop())
 
-    # -- per-federate reader ----------------------------------------------------
+    # -- per-federate frames ----------------------------------------------------
 
-    def _register(self, conn: FrameConnection) -> str | None:
-        frame = conn.recv_frame()
-        if frame is None or frame.type != FrameType.JOIN:
-            log.warning("connection sent %s before JOIN; dropping", frame and frame.type)
-            conn.close()
+    def _register(self, conn: FrameConnection, frame: Frame) -> str | None:
+        if frame.type != FrameType.JOIN:
+            log.warning("connection sent %s before JOIN; dropping", frame.type)
             return None
         body = json.loads(frame.body.decode())
         fid = body["fid"]
-        with self._lock:
-            start = self.state.register(fid, body["clock_ns"], tuple(body["address"]))
-            self._conns[fid] = conn
-            if start is not None:
-                payload = json.dumps(
-                    {"addresses": {f: list(a) for f, a in start.addresses.items()}}
-                ).encode()
-                for joined_fid in list(self._conns):
-                    self._send(
-                        joined_fid,
-                        Frame(FrameType.START, start.start_tag, body=payload),
-                    )
-                if self.state.pending_stop():
-                    self._broadcast_stop(self.state.initiate_stop())
+        start = self.state.register(fid, body["clock_ns"], body["address"])
+        self._conns[fid] = conn
+        if start is not None:
+            payload = json.dumps({"addresses": start.addresses}).encode()
+            for joined_fid in list(self._conns):
+                self._send(
+                    joined_fid,
+                    Frame(FrameType.START, start.start_tag, body=payload),
+                )
+            if self.state.pending_stop():
+                self._broadcast_stop(self.state.initiate_stop())
         return fid
 
-    def _reader(self, conn: FrameConnection) -> None:
-        fid = None
+    def _handle(self, fid: str, frame: Frame) -> None:
+        if frame.type == FrameType.NET:
+            empty, sent, received, completed = decode_progress(frame.body)
+            self._send_grants(
+                self.state.handle_net(
+                    fid,
+                    frame.tag,
+                    queue_empty=empty,
+                    sent=sent,
+                    received=received,
+                    completed=completed,
+                )
+            )
+            self._maybe_autostop()
+        elif frame.type == FrameType.STOP:
+            info = self.state.request_stop(frame.tag if frame.tag.is_finite() else None)
+            if info is not None:
+                self._broadcast_stop(info)
+        else:
+            raise RtiProtocolError(
+                f"{fid!r} sent unexpected {FrameType(frame.type).name}"
+            )
+
+    def _from_federate(self, link: Link, item) -> None:
+        """One frame of a session, or its end; the session ends at RESIGN,
+        end of stream or a protocol error."""
         try:
-            fid = self._register(conn)
-            if fid is None:
+            if isinstance(item, Frame) and link.peer is None:
+                link.peer = self._register(link.conn, item)
+                if link.peer is not None:
+                    return
+            elif isinstance(item, Frame) and item.type != FrameType.RESIGN:
+                self._handle(link.peer, item)
                 return
-            while True:
-                frame = conn.recv_frame()
-                if frame is None or frame.type == FrameType.RESIGN:
-                    break
-                with self._lock:
-                    if frame.type == FrameType.NET:
-                        empty, sent, received, completed = decode_progress(
-                            frame.body
-                        )
-                        self._send_grants(
-                            self.state.handle_net(
-                                fid,
-                                frame.tag,
-                                queue_empty=empty,
-                                sent=sent,
-                                received=received,
-                                completed=completed,
-                            )
-                        )
-                        self._maybe_autostop()
-                    elif frame.type == FrameType.STOP:
-                        info = self.state.request_stop(
-                            frame.tag if frame.tag.is_finite() else None
-                        )
-                        if info is not None:
-                            self._broadcast_stop(info)
-                    else:
-                        raise RtiProtocolError(
-                            f"{fid!r} sent unexpected {FrameType(frame.type).name}"
-                        )
-        except (TransportError, RtiProtocolError, json.JSONDecodeError, OSError) as exc:
-            log.error("federate %s violated the protocol: %s", fid, exc)
-        finally:
-            if fid is not None:
-                with self._lock:
-                    self._send_grants(self.state.handle_resign(fid))
-                    self._maybe_autostop()
-                    self._conns.pop(fid, None)
-            conn.close()
+        except (RtiProtocolError, ValueError, KeyError) as exc:
+            log.error("federate %s violated the protocol: %s", link.peer, exc)
+        if isinstance(item, (TransportError, OSError)):
+            log.error("federate %s violated the protocol: %s", link.peer, item)
+        link.done = True
+        self._loop.unwatch(link.conn)
+        self._sessions.discard(link)
+        if link.peer is not None:
+            self._send_grants(self.state.handle_resign(link.peer))
+            self._maybe_autostop()
+            self._conns.pop(link.peer, None)
+        link.conn.close()
+
+    def _accept(self, conn: FrameConnection) -> Link:
+        link = self._loop.watch(conn, self._from_federate)
+        self._sessions.add(link)
+        self._to_accept -= 1
+        if self._to_accept == 0:
+            self._close_listener()
+        return link
+
+    def _close_listener(self) -> None:
+        if self._listener is not None:
+            self._loop.unwatch(self._listener)
+            self._listener.close()
+            self._listener = None
+
+    def _woken(self, link: Link, item) -> None:
+        self._closing = True
 
     # -- lifecycle ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        expected = len(self.state.records)
-        for _ in range(expected):
-            try:
-                conn = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            reader = threading.Thread(
-                target=self._reader, args=(conn,), name="rti-reader", daemon=True
-            )
-            reader.start()
-            self._readers.append(reader)
-        self._listener.close()
+    def serve_forever(self) -> None:
+        """Run the loop on this thread until the federation is done."""
+        self._served = True
+        try:
+            while not self._closing and (self._listener is not None or self._sessions):
+                self._loop.serve(None)
+        finally:
+            self._cleanup()
 
     def start(self) -> "RtiServer":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="rti-accept", daemon=True
+        self._served = True
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="rti", daemon=True
         )
-        self._accept_thread.start()
+        self._thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        self.start()
-        self.join()
-
     def join(self, timeout: float | None = None) -> None:
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
-        for reader in self._readers:
-            reader.join(timeout)
+        if self._thread is not None:
+            self._thread.join(timeout)
 
     def close(self) -> None:
+        """End the loop, closing the listener and every connection."""
+        self._closing = True
         try:
-            self._listener.close()
+            self._waker.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
-        with self._lock:
-            for conn in self._conns.values():
-                conn.close()
-            self._conns.clear()
+            pass  # the loop has ended and closed it
+        if not self._served:
+            self._cleanup()
+        elif self._thread is not None and self._thread is not threading.current_thread():
+            self._thread.join(5)
+
+    def _cleanup(self) -> None:
+        if self._wake.done:
+            return
+        self._wake.done = True
+        self._close_listener()
+        for link in list(self._sessions):
+            link.conn.close()
+        self._sessions.clear()
+        self._conns.clear()
+        self._loop.close()
+        self._wake.conn.close()
+        self._waker.close()
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Eager framed TCP transport.
+"""Eager framed transport over stream sockets: Unix on one host, TCP across.
 
 Every message is one frame: a fixed 22-byte header followed by an opaque
 body.  Header layout, all little-endian:
@@ -13,31 +13,46 @@ body.  Header layout, all little-endian:
 The receive path is eager: each connection allocates its receive buffer
 once, up front, and every frame is read into it -- no per-message
 allocation, no deferred reads.  Every read of a connection's life fills
-that one buffer; the tests watch the socket to check it.  One
-``recv_into`` takes whatever has arrived, up to the buffer's end, and
-``recv_frame`` parses frames out of the buffer before it reads again, so
-a burst of small frames costs one system call.  A partial frame left
+that one buffer; the tests watch the socket to check it.  One ``read``
+takes whatever has arrived, up to the buffer's end, and
+``buffered_frame`` parses the frames it brought without reading again,
+so a burst of small frames costs one system call, and an event loop that
+reads only readable sockets never blocks on a partial frame.
+``recv_frame`` is the blocking form of the two.  A partial frame left
 behind is moved to the buffer's start before the next read.  Frames
 larger than the buffer are rejected on both send and receive, so peers
 must agree on the buffer size (it is federation configuration, not a
 per-connection negotiation).
 
-Sends write the header and the body as two separate ``sendall`` calls so
-large bodies are never concatenated into a fresh buffer.  With packet
-coalescing left on, the kernel may hold the small header write back
-waiting for an ACK, which is catastrophic for request/response latency;
-``ConnectionOptions.disable_coalescing`` (default on) sets TCP_NODELAY.
+Sends never concatenate a body into a fresh buffer.  On a Unix socket a
+frame is one ``sendmsg([header, body])``; a partial write resends the
+rest.  TCP writes the header and the body as two writes.  A connection
+whose ``wait_writable`` is set writes without blocking on either family
+and calls it whenever the socket buffer is full, so an event loop can
+keep reading while a large frame drains; otherwise TCP's two writes are
+two ``sendall`` calls.  With packet coalescing left on,
+the kernel may hold the small header write back waiting for an ACK,
+which is catastrophic for request/response latency (the bench's ping
+scenario measures exactly this); ``ConnectionOptions.disable_coalescing``
+(default on) sets TCP_NODELAY.
+
+Addresses come in two shapes: ``(host, port)`` for TCP, and a string for
+a Unix socket.  :func:`listen` gives a loopback host an autobound
+abstract Unix socket, which leaves nothing on disk; :func:`connect`
+picks the family from the address.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import logging
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from typing import Callable
 
 from hprm.tags import Tag
 
@@ -61,6 +76,9 @@ class FrameType(IntEnum):
     OBJ_ACK = 11     # the reader pinned an OBJ_REF's object
 
 
+_FRAME_TYPES = frozenset(FrameType)
+
+
 class TransportError(Exception):
     pass
 
@@ -73,7 +91,7 @@ class OversizeFrameError(TransportError):
     """Frame does not fit the eager receive buffer contract."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Frame:
     type: int
     tag: Tag
@@ -109,10 +127,8 @@ def decode_header(buf, offset: int = 0) -> tuple[int, int, Tag, int, int]:
     ftype, flags, tag_time, microstep, port, body_len = HEADER.unpack_from(
         buf, offset
     )
-    try:
-        FrameType(ftype)
-    except ValueError:
-        raise FrameProtocolError(f"unknown frame type {ftype}") from None
+    if ftype not in _FRAME_TYPES:
+        raise FrameProtocolError(f"unknown frame type {ftype}")
     try:
         tag = Tag(tag_time, microstep)
     except ValueError as exc:
@@ -126,17 +142,15 @@ class FrameConnection:
     """One framed byte stream over a connected socket.
 
     Thread safety: ``send_frame`` may be called from any thread (sends are
-    serialized internally); ``recv_frame`` must only be called from one
-    thread at a time.
+    serialized internally); receiving must only happen on one thread at a
+    time.  ``wait_writable``, when set, is called on the sending thread.
     """
 
     def __init__(self, sock: socket.socket, options: ConnectionOptions | None = None):
         self.options = options or ConnectionOptions()
         self._sock = sock
-        if self.options.disable_coalescing and sock.family in (
-            socket.AF_INET,
-            socket.AF_INET6,
-        ):
+        self._unix = sock.family == socket.AF_UNIX
+        if self.options.disable_coalescing and not self._unix:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
         self._send_lock = threading.Lock()
@@ -145,6 +159,12 @@ class FrameConnection:
         self._start = 0  # buf[_start:_end] holds received, unparsed bytes
         self._end = 0
         self._closed = False
+        # None: sends block in the kernel.  A callable is called whenever
+        # the socket buffer is full, and returns once it is not.
+        self.wait_writable: Callable[[], None] | None = None
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def send_frame(self, frame: Frame) -> None:
         if len(frame.body) + HEADER_BYTES > self.options.eager_buffer_bytes:
@@ -154,47 +174,83 @@ class FrameConnection:
             )
         header = encode_header(frame)
         with self._send_lock:
-            self._sock.sendall(header)
-            if frame.body:
-                self._sock.sendall(frame.body)
+            if self._unix:
+                self._sendmsg([header, frame.body] if frame.body else [header])
+            elif self.wait_writable is not None:
+                self._sendmsg([header])
+                if frame.body:
+                    self._sendmsg([frame.body])
+            else:
+                self._sock.sendall(header)
+                if frame.body:
+                    self._sock.sendall(frame.body)
 
-    def _fill(self, count: int) -> bool:
-        """Hold at least ``count`` unparsed bytes, reading whatever has
-        arrived; False on clean EOF with nothing held."""
-        view = self._view
-        while self._end - self._start < count:
-            held = self._end - self._start
-            if self._start:
-                # Move the partial frame to the start: it then fits (count
-                # <= capacity), and reads keep to the buffer's first pages.
-                view[:held] = view[self._start : self._end]
-                self._start, self._end = 0, held
-            n = self._sock.recv_into(view[held:])
-            if n == 0:
-                if held == 0:
-                    return False
-                raise FrameProtocolError("connection closed mid-frame")
-            self._end += n
-        return True
+    def _sendmsg(self, pending: list) -> None:
+        """Write ``pending`` with one ``sendmsg`` per attempt, dropping what
+        each attempt wrote, until nothing is left."""
+        wait = self.wait_writable
+        flags = 0 if wait is None else socket.MSG_DONTWAIT
+        while True:
+            try:
+                sent = self._sock.sendmsg(pending, (), flags)
+            except BlockingIOError:
+                sent = 0
+            while pending and sent >= len(pending[0]):
+                sent -= len(pending.pop(0))
+            if not pending:
+                return
+            pending[0] = memoryview(pending[0])[sent:]
+            if wait is not None:
+                wait()
 
-    def recv_frame(self) -> Frame | None:
-        """Next frame, or None when the peer closed cleanly between frames."""
-        if not self._fill(HEADER_BYTES):
+    def buffered_frame(self) -> Frame | None:
+        """The next frame if the buffer holds all of it, else None; never
+        reads the socket."""
+        held = self._end - self._start
+        if held < HEADER_BYTES:
             return None
-        ftype, flags, tag, port, body_len = decode_header(self._view, self._start)
+        start = self._start
+        ftype, flags, tag, port, body_len = decode_header(self._view, start)
         size = HEADER_BYTES + body_len
         if size > self.options.eager_buffer_bytes:
             raise OversizeFrameError(
                 f"peer declared a {body_len}-byte body; buffer contract is "
                 f"{self.options.eager_buffer_bytes} bytes"
             )
-        self._fill(size)
-        start = self._start
+        if held < size:
+            return None
         body = bytes(self._view[start + HEADER_BYTES : start + size])
         self._start += size
         if self._start == self._end:
             self._start = self._end = 0
         return Frame(ftype, tag, port, body, flags)
+
+    def read(self) -> bool:
+        """Read whatever has arrived into the buffer, blocking until
+        something has; False on a clean end of stream.  Take every
+        buffered frame first: a whole frame left in the buffer may leave
+        no room to read into."""
+        view = self._view
+        held = self._end - self._start
+        if self._start:
+            # Move the partial frame to the start: it then fits (a frame
+            # fits the buffer), and reads keep to the buffer's first pages.
+            view[:held] = view[self._start : self._end]
+            self._start, self._end = 0, held
+        n = self._sock.recv_into(view[held:])
+        if n == 0:
+            if held:
+                raise FrameProtocolError("connection closed mid-frame")
+            return False
+        self._end += n
+        return True
+
+    def recv_frame(self) -> Frame | None:
+        """Next frame, or None when the peer closed cleanly between frames."""
+        while (frame := self.buffered_frame()) is None:
+            if not self.read():
+                return None
+        return frame
 
     def close(self) -> None:
         if not self._closed:
@@ -213,25 +269,38 @@ class FrameConnection:
 
 
 class FrameListener:
+    """Accepts framed connections: TCP on ``(host, port)``, or with
+    ``host`` None an autobound abstract Unix socket."""
+
     def __init__(
         self,
-        host: str = "127.0.0.1",
+        host: str | None = "127.0.0.1",
         port: int = 0,
         options: ConnectionOptions | None = None,
     ):
         self.options = options or ConnectionOptions()
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
+        if host is None:
+            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            self._sock.bind("")  # Linux picks a free abstract name
+        else:
+            self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
         self._sock.listen(64)
 
     @property
-    def address(self) -> tuple[str, int]:
-        return self._sock.getsockname()[:2]
+    def address(self) -> tuple[str, int] | str:
+        name = self._sock.getsockname()
+        if isinstance(name, bytes):
+            return name.decode("ascii")
+        return name[:2]
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def accept(self) -> FrameConnection:
         sock, peer = self._sock.accept()
-        log.debug("accepted connection from %s", peer)
+        log.debug("accepted connection from %r", peer)
         return FrameConnection(sock, self.options)
 
     def close(self) -> None:
@@ -244,24 +313,44 @@ class FrameListener:
         self.close()
 
 
+def _is_loopback(host: str) -> bool:
+    if host == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
+def listen(host: str, options: ConnectionOptions | None = None) -> FrameListener:
+    """A listener for peers on ``host``: a Unix socket when ``host`` is a
+    loopback address, since every peer then shares this host, else TCP on
+    a free port."""
+    return FrameListener(None if _is_loopback(host) else host, 0, options)
+
+
 def connect(
-    address: tuple[str, int],
+    address: tuple[str, int] | str,
     options: ConnectionOptions | None = None,
     *,
     retry_for: float = 0.0,
 ) -> FrameConnection:
     """Open a framed connection, optionally retrying refused connects.
 
+    A string address is a Unix socket, any other a ``(host, port)`` pair.
     ``retry_for`` covers the rendezvous window where a peer's listener is
     known to be coming up but may not be bound yet.
     """
     options = options or ConnectionOptions()
+    unix = isinstance(address, str)
     deadline = time.monotonic() + retry_for
     while True:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock = socket.socket(
+            socket.AF_UNIX if unix else socket.AF_INET, socket.SOCK_STREAM
+        )
         sock.settimeout(options.connect_timeout)
         try:
-            sock.connect(tuple(address))
+            sock.connect(address if unix else tuple(address))
             return FrameConnection(sock, options)
         except (ConnectionRefusedError, ConnectionAbortedError, socket.timeout):
             sock.close()

@@ -11,10 +11,13 @@ smallest sizes that still exercise the store path.
 import ast
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+
+import hprm.bench.scenarios
 from hypothesis import strategies as st
 
 from hprm.bench.report import (
@@ -27,6 +30,9 @@ from hprm.bench.report import (
 )
 from hprm.bench.scenarios import (
     BenchConfig,
+    BenchError,
+    _Procs,
+    _read_address,
     measure_write_delay,
     run_broadcast,
     run_ordering,
@@ -271,3 +277,20 @@ def test_runtime_never_imports_the_bench():
             if any(n == "hprm.bench" or n.startswith("hprm.bench.") for n in names):
                 offenders.append(f"{path.relative_to(src)}:{node.lineno}")
     assert offenders == []
+
+
+def test_address_read_gives_up_on_a_silent_child_at_its_deadline(tmp_path, monkeypatch):
+    """A child that prints nothing for 20 s: reading its banner fails
+    with a BenchError once the deadline passes, not when the child ends."""
+    monkeypatch.setattr(hprm.bench.scenarios, "ADDRESS_DEADLINE_S", 2.0)
+    procs = _Procs(tmp_path)
+    proc = procs.spawn(
+        "quiet",
+        [sys.executable, "-c", "import time; time.sleep(20)"],
+        stdout=subprocess.PIPE,
+    )
+    t0 = time.monotonic()
+    with pytest.raises(BenchError, match="quiet failed to start"):
+        _read_address(procs, "quiet", proc, "quiet listening on ")
+    assert time.monotonic() - t0 < 2.0 + 1.0
+    assert proc.poll() is not None  # and it was stopped

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hprm.federate
+import hprm.loop
 from hprm.bench.delayline import DelayListener
 from hprm.clock import ManualClock
 from hprm.federate import (
@@ -54,7 +55,9 @@ def run_federation(topology, feds, setup=None, timeout=60.0, startup_ns=30 * MS)
     """Start an in-process coordinator plus one thread per federate.
 
     ``setup(fed, start_tag)`` runs after the start handshake, before the
-    event loop.  Returns {fid: RunSummary-or-exception}.
+    event loop.  Returns {fid: RunSummary-or-exception}.  The threads are
+    daemons, so a hung federate fails the assertion below instead of
+    keeping the test process alive.
     """
     rti = RtiServer(topology, host="127.0.0.1", port=0, startup_offset_ns=startup_ns)
     rti.start()
@@ -72,7 +75,7 @@ def run_federation(topology, feds, setup=None, timeout=60.0, startup_ns=30 * MS)
             results[fed.fid] = exc
 
     threads = [
-        threading.Thread(target=runner, args=(f,), name=f"run-{f.fid}")
+        threading.Thread(target=runner, args=(f,), name=f"run-{f.fid}", daemon=True)
         for f in feds
     ]
     for t in threads:
@@ -199,16 +202,8 @@ def test_gate_wait_follows_a_manual_clock():
     assert gate(downstream) is None
 
 
-class _CountingCond:
-    def __init__(self):
-        self.wakes = 0
-
-    def notify_all(self):
-        self.wakes += 1
-
-
 class _Feed:
-    """Stands in for the coordinator connection: hands out given frames."""
+    """Stands in for a connection: hands out given frames."""
 
     def __init__(self, *frames):
         self.frames = list(frames)
@@ -217,47 +212,205 @@ class _Feed:
         return self.frames.pop(0) if self.frames else None
 
 
-def test_executor_is_woken_only_when_its_head_may_run():
-    """Centralized: a new head held back by a missing grant or watermark
-    does not wake the executor; the grant or watermark that frees it does."""
+def test_a_running_federation_starts_no_threads():
+    """Each federate serves its listener, its coordinator connection and
+    its peers from the thread that calls run(), and the coordinator
+    serves every federate from one thread: while the federation runs,
+    no thread starts beyond those."""
+    topo = pipeline("pub", "mid", "sub")
+    feds = [Federate(FederateConfig(fid=f), topo) for f in ("pub", "mid", "sub")]
+    counts = []
+
+    def relay(ctx):
+        counts.append(threading.active_count())
+        ctx.publish("out", ctx.value)
+
+    feds[0].on("tick", relay)
+    feds[1].on("in", relay)
+    feds[2].on("in", lambda ctx: counts.append(threading.active_count()))
+    before = threading.active_count()
+    results = run_federation(
+        topo, feds,
+        lambda f, s: schedule_ramp(f, s, 10) if f.fid == "pub" else None,
+    )
+    assert all(isinstance(r, RunSummary) for r in results.values()), results
+    assert len(counts) == 30
+    # one thread per federate, plus the coordinator's
+    assert max(counts) <= before + len(feds) + 1, (before, counts)
+
+
+def test_readable_input_runs_before_an_overdue_later_head():
+    """Decentralized, on a manual clock: while b runs its first tag, a's
+    message for a tag before b's next head lands, and b's clock jumps
+    past that head's margin.  b reads what is ready before it runs the
+    overdue head, so the message runs first, in tag order, and is not
+    late."""
     topo = pipeline("a", "b")
-    fed = Federate(FederateConfig(fid="b"), topo)
-    cond = fed._cond = _CountingCond()
-    fed._watermarks["a"] = Tag(100, 0)  # floor (100, 1)
+    clock = ManualClock(time.monotonic_ns())
+    a = Federate(FederateConfig(fid="a", mode=DECENTRALIZED), topo)
+    b = Federate(
+        FederateConfig(fid="b", mode=DECENTRALIZED, stp_offset_ns=5 * MS),
+        topo, clock=clock,
+    )
+    sent = threading.Event()
+    tags, ran = {}, []
 
-    def grant(tag):
-        before = cond.wakes
-        fed._rti = _Feed(Frame(FrameType.TAG_GRANT, tag))
-        fed._rti_reader()
-        return cond.wakes - before - 1  # the reader's exit always wakes it
+    def tick(ctx):
+        ctx.publish("out", "early")
+        sent.set()
 
-    def net(tag):
-        before = cond.wakes
-        fed._dispatch_peer_frame(None, "a", Frame(FrameType.NET, tag))
-        return cond.wakes - before
+    def first(ctx):
+        ran.append(ctx.event.port)
+        assert sent.wait(5)
+        clock.set(tags["later"].time + 10 * MS)  # the next head is overdue
 
-    def push(fed, tag):
-        before = fed._cond.wakes
-        fed.schedule(tag, "x")
-        return fed._cond.wakes - before
+    def later(ctx):
+        ran.append(ctx.event.port)
+        ctx.federate.request_stop()
 
-    assert push(fed, Tag(200, 0)) == 0  # no grant yet
-    assert grant(Tag(150, 0)) == 0  # short of the head
-    assert grant(Tag(300, 0)) == 1
-    assert net(Tag(250, 0)) == 1  # the floor passes the head
-    assert net(Tag(250, 0)) == 0  # no news
-    assert push(fed, Tag(210, 0)) == 0  # not the head
-    assert push(fed, Tag(190, 0)) == 1  # a new head, granted and floored
-    fed._queue.clear()
-    assert push(fed, Tag(260, 0)) == 0  # at or above the floor (250, 1)
-    fed._queue.clear()
-    assert grant(Tag(400, 0)) == 0  # nothing queued to run
+    a.on("tick", tick)
+    b.on("first", first)
+    b.on("in", lambda ctx: ran.append(ctx.event.port))
+    b.on("later", later)
 
-    source = Federate(FederateConfig(fid="a", mode=DECENTRALIZED), topo)
-    source._cond = _CountingCond()
-    assert push(source, Tag(200, 0)) == 1
-    assert push(source, Tag(100, 0)) == 1  # decentralized: every new head
-    assert push(source, Tag(300, 0)) == 0
+    def setup(fed, start):
+        if fed.fid == "a":
+            fed.schedule(Tag(start.time + 2 * MS, 0), "tick")
+            return
+        tags["later"] = Tag(start.time + 4 * MS, 0)
+        fed.schedule(Tag(start.time + MS, 0), "first")
+        fed.schedule(tags["later"], "later")
+        clock.set(start.time + 6 * MS)  # first is due
+
+    results = run_federation(topo, [a, b], setup, timeout=10)
+    assert isinstance(results["b"], RunSummary), results["b"]
+    assert ran == ["first", "in", "later"]
+    assert results["b"].stp_violations == 0
+
+
+def test_a_link_whose_tags_fall_delivers_around_a_local_head():
+    """Two edges join pub to sub, at 21 ms and 20 ms.  Pub's first tick
+    publishes on the slower edge first, so the later-tagged message leads
+    on the connection; its second publishes on the slower edge only, so
+    the watermark sub next waits for comes after a later-tagged message.
+    A local event of sub lies between the arrival tags of each tick, and
+    everything runs in tag order, with no violation."""
+    topo = Topology.build(
+        ["pub", "sub"],
+        [
+            Connection("pub", "late", "sub", "late", Delay(21 * MS)),
+            Connection("pub", "early", "sub", "early", Delay(20 * MS)),
+        ],
+    )
+    for mode in (CENTRALIZED, DECENTRALIZED):
+        pub = Federate(FederateConfig(fid="pub", mode=mode), topo)
+        sub = Federate(
+            FederateConfig(fid="sub", mode=mode, stp_offset_ns=10 * MS), topo
+        )
+        ran = []
+
+        def tick(ctx):
+            ctx.publish("late", ctx.value)
+            if ctx.value == 1:
+                ctx.publish("early", ctx.value)
+
+        def record(ctx):
+            ran.append((ctx.event.port, ctx.value))
+            if ctx.event.port == "late" and ctx.value == 2:
+                ctx.federate.request_stop()
+
+        pub.on("tick", tick)
+        for port in ("early", "local", "late"):
+            sub.on(port, record)
+
+        def setup(fed, start):
+            for n, at in ((1, MS), (2, 6 * MS)):
+                if fed.fid == "pub":
+                    fed.schedule(Tag(start.time + at, 0), "tick", n)
+                else:
+                    fed.schedule(Tag(start.time + at + 20 * MS + MS // 2, 0), "local", n)
+
+        results = run_federation(topo, [pub, sub], setup, timeout=10)
+        assert all(isinstance(r, RunSummary) for r in results.values()), (mode, results)
+        assert ran == [
+            ("early", 1), ("local", 1), ("late", 1), ("local", 2), ("late", 2)
+        ], mode
+        assert results["sub"].stp_violations == 0, mode
+
+
+@pytest.mark.parametrize("family", ["unix", "tcp"])
+def test_a_cycle_of_frames_larger_than_the_socket_buffer_completes(family):
+    """Two federates each send the other 16 inline frames of 1 MiB in one
+    reaction at the same tag: five times the Unix socket buffer per
+    frame, and over TCP more than a loopback send buffer grows to before
+    its reader reads.  Each send keeps reading the other's frames until
+    its own fit, so neither waits on the other."""
+    topo = Topology.build(
+        ["left", "right"],
+        [
+            Connection("left", "out", "right", "in", Delay(MS)),
+            Connection("right", "out", "left", "in", Delay(MS)),
+        ],
+    )
+    opts = ConnectionOptions(eager_buffer_bytes=2 * 2**20)
+    feds = [
+        Federate(
+            FederateConfig(fid=f, connection=opts),
+            topo,
+            listener=FrameListener("127.0.0.1", 0, opts) if family == "tcp" else None,
+        )
+        for f in ("left", "right")
+    ]
+    count = 16
+    got = {"left": [], "right": []}
+
+    def burst(ctx):
+        for i in range(count):
+            ctx.publish("out", np.full(2**17, float(i)))
+
+    for fed in feds:
+        fed.on("tick", burst)
+        fed.on("in", lambda ctx: got[ctx.federate.fid].append(ctx.value[-1]))
+    results = run_federation(
+        topo, feds, lambda f, s: f.schedule(Tag(s.time + MS, 0), "tick"), timeout=20
+    )
+    assert all(isinstance(r, RunSummary) for r in results.values()), results
+    assert got == {fid: [float(i) for i in range(count)] for fid in got}
+
+
+def test_store_references_both_ways_with_full_windows_complete(store):
+    """Two federates each publish twice OBJ_WINDOW store objects to the
+    other in one reaction.  Each waits for acknowledgements with its
+    window full while the other does the same; the wait serves the
+    other's references, so both windows drain."""
+    topo = Topology.build(
+        ["left", "right"],
+        [
+            Connection("left", "out", "right", "in", Delay(MS)),
+            Connection("right", "out", "left", "in", Delay(MS)),
+        ],
+    )
+    feds = [
+        Federate(FederateConfig(fid=f, store_path=store.socket_path), topo)
+        for f in ("left", "right")
+    ]
+    count = 2 * hprm.federate.OBJ_WINDOW
+    got = {"left": [], "right": []}
+
+    def burst(ctx):
+        for i in range(count):
+            ctx.publish("out", np.full(2**17, float(i)))
+
+    for fed in feds:
+        fed.on("tick", burst)
+        fed.on("in", lambda ctx: got[ctx.federate.fid].append(ctx.value[0]))
+    results = run_federation(
+        topo, feds, lambda f, s: f.schedule(Tag(s.time + MS, 0), "tick"), timeout=20
+    )
+    assert all(isinstance(r, RunSummary) for r in results.values()), results
+    assert got == {fid: [float(i) for i in range(count)] for fid in got}
+    stats = store.state.stats()
+    assert stats["creates"] == stats["gets"] == stats["releases"] == 2 * count
 
 
 # -- centralized federations ---------------------------------------------------
@@ -474,20 +627,20 @@ def test_centralized_run_sends_one_report_per_executed_tag(monkeypatch):
     nets: dict[str, int] = {}
     types: set[int] = set()
     handle_net = RtiState.handle_net
-    recv_frame = FrameConnection.recv_frame
+    buffered_frame = FrameConnection.buffered_frame
 
     def counting_net(self, fid, tag, **kwargs):
         nets[fid] = nets.get(fid, 0) + 1
         return handle_net(self, fid, tag, **kwargs)
 
     def recording_recv(self):
-        frame = recv_frame(self)
-        if frame is not None and threading.current_thread().name == "rti-reader":
+        frame = buffered_frame(self)
+        if frame is not None and threading.current_thread().name == "rti":
             types.add(frame.type)
         return frame
 
     monkeypatch.setattr(RtiState, "handle_net", counting_net)
-    monkeypatch.setattr(FrameConnection, "recv_frame", recording_recv)
+    monkeypatch.setattr(FrameConnection, "buffered_frame", recording_recv)
     topo = _gather_topology()
     feds = [Federate(FederateConfig(fid=f), topo) for f in ("a", "b", "z")]
     seen = []
@@ -546,12 +699,10 @@ def test_upstream_net_mid_reaction_keeps_the_floor_below_its_publish():
 
     mid.on("in", relay)
     at = delay_tag(start, NO_DELAY)  # src's publish at the start tag
-    with mid._lock:
-        mid._granted = at
-        mid._announced = at  # the grant for `at` implies this announcement
-        mid._push(hprm.federate._Queued(at, mid._next_seq(), "in", value=7))
-        batch = mid._pop_batch_locked()
-    mid._execute_batch(batch)
+    mid._granted = at
+    mid._announced = at  # the grant for `at` implies this announcement
+    mid.schedule(at, "in", 7)
+    mid._execute_batch(mid._pop_batch())
 
     floor, published = NEVER, 0
     for frame in dst.frames:
@@ -853,9 +1004,8 @@ def _publish_once(pub, value):
     peer connection replaced by a recorder; returns the frames sent."""
     sub = _Recorder()
     pub._peers_out["sub"] = sub
-    with pub._lock:
-        pub._current = Tag(1_000 * MS, 0)
-        pub._executing = True
+    pub._current = Tag(1_000 * MS, 0)
+    pub._executing = True
     try:
         pub.publish("out", value)
     finally:
@@ -922,10 +1072,9 @@ def test_malformed_obj_ref_ends_the_inbound_connection(caplog):
         Frame(FrameType.OBJ_REF, Tag(1_000 * MS, 0), port, bytes(ID_BYTES + 1)),
         Frame(FrameType.NET, Tag(2_000 * MS, 0)),
     )
-    reader = threading.Thread(target=sub._peer_reader, args=(feed, "pub"))
-    reader.start()
-    reader.join(timeout=5)
-    assert not reader.is_alive()
+    link = hprm.loop.Link(feed, sub._from_upstream, "pub")
+    while not link.done:
+        link.handle(link, feed.recv_frame())
     assert sub._watermarks["pub"] == FOREVER
     assert len(feed.frames) == 1  # nothing read past the bad frame
     assert sub.messages_received == 1  # it arrived, and is counted as lost
@@ -1018,11 +1167,10 @@ def test_slow_subscriber_never_pins_more_than_half_the_store(tmp_path):
 
     def slow(ctx):
         got.append(ctx.value[0])
-        with sub._lock:
-            pins.append(sum(1 for q in sub._queue if q.sealed))
-            counted.append(
-                (sub._pinned_bytes, sum(q.sealed.size for q in sub._queue if q.sealed))
-            )
+        pins.append(sum(1 for q in sub._queue if q.sealed))
+        counted.append(
+            (sub._pinned_bytes, sum(q.sealed.size for q in sub._queue if q.sealed))
+        )
         time.sleep(0.1)
 
     sub.on("in", slow)
@@ -1091,29 +1239,41 @@ def test_a_late_store_payload_leaves_no_pin_counted(store):
 def test_shutdown_with_a_queued_pin_returns_at_once(store):
     """The subscriber's run ends while a queued event pins a store
     object.  run() returns at once, and the daemon releases the pin when
-    the federate's store session closes."""
-    topo = pipeline("pub", "sub")
+    the federate's store session closes.  One reaction of the publisher
+    sends a store payload and then an inline message for an earlier tag,
+    so both are queued, the payload pinned, before the message's
+    reaction raises."""
+    topo = Topology.build(
+        ["pub", "sub"],
+        [
+            Connection("pub", "big", "sub", "big", Delay(21 * MS)),
+            Connection("pub", "small", "sub", "small", Delay(20 * MS)),
+        ],
+    )
     pub = Federate(FederateConfig(fid="pub", store_path=store.socket_path), topo)
     sub = Federate(FederateConfig(fid="sub", store_path=store.socket_path), topo)
-    raised = []
+    raised, pinned = [], []
+
+    def tick(ctx):
+        ctx.publish("big", np.ones(100_000))
+        ctx.publish("small", "halt")
 
     def halt(ctx):
-        deadline = time.monotonic() + 5
-        while not sub._pinned_bytes and time.monotonic() < deadline:
-            time.sleep(0.005)
+        pinned.append(sub._pinned_bytes)
         raised.append(time.monotonic())
         raise RuntimeError("halt with a payload queued")
 
-    pub.on("tick", lambda ctx: ctx.publish("out", np.ones(100_000)))
-    sub.on("in", lambda ctx: None)
-    sub.on("halt", halt)
+    pub.on("tick", tick)
+    sub.on("big", lambda ctx: None)
+    sub.on("small", halt)
 
     def setup(fed, start):
-        port = "tick" if fed.fid == "pub" else "halt"
-        fed.schedule(Tag(start.time + MS, 0), port)
+        if fed.fid == "pub":
+            fed.schedule(Tag(start.time + MS, 0), "tick")
 
     results = run_federation(topo, [pub, sub], setup)
     assert isinstance(results["sub"], RuntimeError), results["sub"]
+    assert pinned[0] > 0
     assert time.monotonic() - raised[0] < 2.0
     assert isinstance(results["pub"], RunSummary), results["pub"]
     assert sub._pinned_bytes == 0

@@ -1,5 +1,6 @@
 """Frame codec and eager connection behavior over loopback."""
 
+import json
 import socket
 import struct
 import threading
@@ -21,6 +22,7 @@ from hprm.transport import (
     connect,
     decode_header,
     encode_header,
+    listen,
     ping_rtt,
     serve_echo,
 )
@@ -251,7 +253,9 @@ def test_ping_echo_round_trip():
 
 class _CountingSocket:
     """A socket whose ``recv_into`` calls are counted, optionally capped
-    at ``limit`` bytes each, and whose target buffers are recorded."""
+    at ``limit`` bytes each, and whose target buffers are recorded; each
+    ``sendmsg`` call records how many buffers it was given and how many
+    bytes it wrote."""
 
     def __init__(self, sock, limit=None):
         self._sock = sock
@@ -259,6 +263,7 @@ class _CountingSocket:
         self.recv_calls = 0
         # Each buffer recv_into filled, by id; kept alive, so ids stay unique.
         self.buffers = {}
+        self.sendmsgs = []  # (buffer count, bytes written or None)
 
     def recv_into(self, view):
         self.recv_calls += 1
@@ -266,6 +271,15 @@ class _CountingSocket:
         if self.limit is not None:
             view = view[: self.limit]
         return self._sock.recv_into(view)
+
+    def sendmsg(self, buffers, *args):
+        try:
+            sent = self._sock.sendmsg(buffers, *args)
+        except BlockingIOError:
+            self.sendmsgs.append((len(buffers), None))
+            raise
+        self.sendmsgs.append((len(buffers), sent))
+        return sent
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
@@ -405,3 +419,134 @@ def test_oversize_declared_body_after_a_whole_frame():
     finally:
         raw.close()
         conn.close()
+
+
+def test_buffered_frame_waits_for_the_whole_frame_without_reading():
+    """A partial header or body parses as nothing, and parsing never
+    reads the socket: each read brings what has arrived, and the frame
+    comes out once its last byte has."""
+    raw, conn, counting = counted_pair()
+    counting._sock.settimeout(1)  # a read that should not happen fails, not hangs
+    frame = Frame(FrameType.TAGGED_MSG, Tag(3, 0), port=1, body=b"x" * 100)
+    data = wire_bytes(frame)
+    try:
+        for reads, (lo, hi) in enumerate(
+            [(0, 10), (10, HEADER_BYTES + 50), (HEADER_BYTES + 50, len(data))], 1
+        ):
+            raw.sendall(data[lo:hi])
+            assert conn.read()
+            assert counting.recv_calls == reads
+            parsed = conn.buffered_frame()
+            if hi < len(data):
+                assert parsed is None
+                assert conn.buffered_frame() is None
+        assert parsed == frame
+        assert conn.buffered_frame() is None
+        assert counting.recv_calls == 3
+    finally:
+        raw.close()
+        conn.close()
+
+
+def test_unix_frames_are_one_sendmsg_and_a_full_buffer_calls_wait_writable():
+    """Over a Unix socket pair each frame is one ``sendmsg`` of its header
+    and its body.  A 1 MiB body does not fit the socket buffer: the send
+    writes what fits, calls ``wait_writable`` (here it reads the other
+    end, on the sending thread) and resends the rest until it is all
+    gone.  The receiver reads every frame into its one buffer."""
+    options = ConnectionOptions(eager_buffer_bytes=2 * 2**20)
+    ours, theirs = socket.socketpair()
+    sending = _CountingSocket(ours)
+    sender = FrameConnection(sending, options)
+    receiver = FrameConnection(theirs, options)
+    watched = watch(receiver)
+    got, waits = [], []
+
+    def drain():
+        waits.append(len(sending.sendmsgs))
+        receiver.read()
+        while (frame := receiver.buffered_frame()) is not None:
+            got.append(frame)
+
+    sender.wait_writable = drain
+    small = Frame(FrameType.NET, Tag(1, 0), body=b"progress")
+    big = Frame(FrameType.TAGGED_MSG, Tag(2, 0), port=5, body=bytes(range(256)) * 4096)
+    try:
+        sender.send_frame(small)
+        assert sending.sendmsgs == [(2, HEADER_BYTES + len(small.body))]
+        sender.send_frame(big)
+        while len(got) < 2:
+            drain()
+        assert got == [small, big]
+        tries = sending.sendmsgs[1:]
+        assert tries[0][0] == 2  # header and body together
+        assert 0 < tries[0][1] < HEADER_BYTES + len(big.body)  # a partial write
+        assert sum(sent or 0 for _, sent in tries) == HEADER_BYTES + len(big.body)
+        assert waits  # it waited while the rest could not go
+        assert len(watched.buffers) == 1
+    finally:
+        sender.close()
+        receiver.close()
+
+
+def test_tcp_frames_with_wait_writable_are_two_nonblocking_writes():
+    """Over TCP with ``wait_writable`` set, a frame is still two writes,
+    its header and then its body, each made without blocking.  A 12 MiB
+    body is more than a loopback send buffer grows to: the body's write
+    is partial, the send calls ``wait_writable`` (here it reads the other
+    end) and resends the rest."""
+    options = ConnectionOptions(eager_buffer_bytes=16 * 2**20)
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        ours = socket.create_connection(server.getsockname()[:2])
+        theirs, _ = server.accept()
+    sending = _CountingSocket(ours)
+    sender = FrameConnection(sending, options)
+    receiver = FrameConnection(theirs, options)
+    got, waits = [], []
+
+    def drain():
+        waits.append(len(sending.sendmsgs))
+        receiver.read()
+        while (frame := receiver.buffered_frame()) is not None:
+            got.append(frame)
+
+    sender.wait_writable = drain
+    small = Frame(FrameType.NET, Tag(1, 0), body=b"progress")
+    big = Frame(FrameType.TAGGED_MSG, Tag(2, 0), port=5, body=bytes(range(256)) * 49152)
+    try:
+        sender.send_frame(small)
+        assert sending.sendmsgs == [(1, HEADER_BYTES), (1, len(small.body))]
+        sender.send_frame(big)
+        while len(got) < 2:
+            drain()
+        assert got == [small, big]
+        tries = sending.sendmsgs[2:]
+        assert tries[0] == (1, HEADER_BYTES)
+        assert all(count == 1 for count, _ in tries)
+        assert 0 < (tries[1][1] or 0) < len(big.body)  # a partial write
+        assert sum(sent or 0 for _, sent in tries) == HEADER_BYTES + len(big.body)
+        assert waits
+    finally:
+        sender.close()
+        receiver.close()
+
+
+def test_connect_takes_a_unix_name_or_a_host_and_port():
+    """A loopback listener is an abstract Unix socket named by a string;
+    a TCP listener gives (host, port).  Either survives the JSON a JOIN
+    carries, and connect picks the family from its shape."""
+    unix = listen("127.0.0.1")
+    tcp = FrameListener("127.0.0.1", 0)
+    assert isinstance(unix.address, str) and unix.address.startswith("\0")
+    assert isinstance(tcp.address, tuple)
+    try:
+        for listener, family in ((unix, socket.AF_UNIX), (tcp, socket.AF_INET)):
+            address = json.loads(json.dumps(listener.address))
+            with connect(address) as client, listener.accept() as server:
+                assert client._sock.family == server._sock.family == family
+                frame = Frame(FrameType.TAGGED_MSG, Tag(7, 1), port=2, body=b"hi")
+                client.send_frame(frame)
+                assert server.recv_frame() == frame
+    finally:
+        unix.close()
+        tcp.close()
