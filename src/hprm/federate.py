@@ -767,8 +767,8 @@ class Federate:
 
     @staticmethod
     def _release(item: _Queued) -> None:
-        """Unpin a store payload, dropping its views first so the mapping
-        can close; a view a reaction kept leaves the object cached."""
+        """Unpin a store payload, dropping its views first so the release
+        finds none left; a view a reaction kept leaves the object cached."""
         if item.sealed is not None:
             item.payload = None
             item.sealed.release()
@@ -783,7 +783,7 @@ class Federate:
                     ReactionContext(self, event, value, lateness_ns)
                 )
                 handled = True
-        del value, event  # so that the store mapping can close
+        del value, event  # so that the release finds no view left
         if not handled:
             log.warning(
                 "%s: dropped event at %r (late by %d ns)",

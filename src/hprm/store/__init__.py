@@ -7,8 +7,12 @@ retirement after the last expected read or LRU eviction); clients map
 the segments it hands them as descriptors, so object bytes cross process
 boundaries without ever being copied through a socket.  A seal may
 declare how many gets the object will see; once those readers have
-released it with their mappings closed, its segment is recycled at once.
-A view kept past its release keeps the object cached until evicted.
+released it with no view of it left, its segment is recycled at once,
+the most recently retired first.  A session maps each recycled segment
+once and keeps up to ``MAPPINGS_CACHED`` idle mappings, which hold up to
+that many of the largest segments alive outside the store's capacity.
+A view kept past its release keeps the object cached until evicted, and
+its mapping is never reused.
 
 The daemon answers every request at once: a get of an object that is
 gone or not yet sealed fails rather than waits, and a client waits at

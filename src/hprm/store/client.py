@@ -3,12 +3,20 @@
 The client sends lifecycle requests over the control socket and maps the
 segment descriptor that a CREATE or GET reply carries, closing it once
 mapped, so reads and writes of object bytes happen directly against
-shared memory.  A seal may declare how many gets the object will see,
-and a release first tries to close its mapping and tells the daemon
-whether that worked: the daemon recycles an object after its last
-expected read only when no view of it is left open, so a view kept past
-its release stays valid until the object is evicted.  The daemon
-answers every request at once, so a request that has no reply within
+shared memory.  A session maps each segment once: when an object is
+done with, its mapping goes back to a small table of idle mappings, keyed
+by the segment's identity and protection, and a later create or get of
+the same recycled segment reuses it with no ``mmap``, no page faults and
+no ``munmap``.  Idle mappings keep at most ``MAPPINGS_CACHED`` times the
+largest segment per session alive outside the store's capacity, until
+the session closes.
+
+A seal may declare how many gets the object will see, and a release
+tells the daemon whether any view of the object is left: the daemon
+recycles an object after its last expected read only when none is, so a
+view kept past its release stays valid until the object is evicted.  Its
+mapping is then never handed to a later object.  The daemon answers
+every request at once, so a request that has no reply within
 ``REPLY_TIMEOUT_S`` means the daemon is stuck or gone: the request fails
 and closes the session, so that no later request can read its reply.  A
 get of an object that is not there fails at once.
@@ -27,13 +35,21 @@ import os
 import socket
 import struct
 import threading
+from collections import OrderedDict
 from pathlib import Path
+from pickle import PickleBuffer
 
 from hprm.store import wire
 from hprm.store.state import Status
 from hprm.store.wire import ID_BYTES
 
 REPLY_TIMEOUT_S = 5.0  # the longest wait for any reply
+
+# Idle mappings a session keeps.  With the daemon handing out the newest
+# pooled segment first, a whole paced bench federation circulated 1-2
+# segments per process on the 8 MiB fan-out and 3 on the 1 MiB fan-in,
+# where two publishers share the pool; 4 holds either with one to spare.
+MAPPINGS_CACHED = 4
 
 
 def random_object_id() -> bytes:
@@ -47,7 +63,8 @@ class StoreError(Exception):
 
 
 class _Mapped:
-    """An object's segment, mapped; its descriptor is closed at once."""
+    """An object's segment, mapped through its session's idle mappings;
+    its descriptor is closed at once."""
 
     _PROT = mmap.PROT_READ
     _FLAGS = mmap.MAP_SHARED  # MAP_POPULATE measured slower for readers
@@ -56,22 +73,29 @@ class _Mapped:
         self.client = client
         self.oid = oid
         self.size = size
-        try:
-            self._mm = mmap.mmap(fd, size, flags=self._FLAGS, prot=self._PROT)
-        finally:
-            os.close(fd)
+        self._key, self._mm = client._map(fd, size, self._PROT, self._FLAGS)
+        # The object's bytes, which may be fewer than the mapping's.
+        self._root = memoryview(self._mm)[:size]
 
     @property
     def view(self) -> memoryview:
-        return memoryview(self._mm)
+        # A view of a PickleBuffer takes its buffer from ``_root`` itself,
+        # so ``_root.release()`` fails exactly while a view handed out, or
+        # anything made from one, survives.
+        return memoryview(PickleBuffer(self._root))
 
-    def _unmap(self) -> bool:
-        """Close the mapping; False while views keep it alive (GC then
-        reclaims it once they go)."""
+    def _done(self) -> bool:
+        """End this object's use of the mapping: hand it back to the
+        session, or, while views of the object survive, drop it (GC
+        unmaps it once they go).  Returns whether no view survived."""
+        mm, self._mm = self._mm, None
+        if mm is None:
+            return True
         try:
-            self._mm.close()
+            self._root.release()
         except BufferError:
             return False
+        self.client._keep(self._key, mm)
         return True
 
 
@@ -82,20 +106,21 @@ class WritableObject(_Mapped):
     _FLAGS = mmap.MAP_SHARED | mmap.MAP_POPULATE  # a writer fills every page
 
     def write(self, offset: int, data) -> int:
-        """Copy ``data`` into the mapping; the one write pass per byte."""
+        """Copy ``data`` into the object; the one write pass per byte.
+        Writing past the object's size raises ``ValueError``."""
         view = memoryview(data).cast("B") if not isinstance(data, bytes) else data
         n = len(view)
-        self._mm[offset : offset + n] = view
+        self._root[offset : offset + n] = view
         return n
 
     def seal(self, reads: int = 0) -> None:
         """Make the object readable.  ``reads`` > 0 declares the gets it
         will see, after which the daemon may recycle it: close this
-        mapping first."""
+        object first."""
         self.client.seal(self.oid, reads)
 
     def close(self) -> None:
-        self._unmap()
+        self._done()
 
     def __enter__(self) -> "WritableObject":
         return self
@@ -110,13 +135,12 @@ class SealedObject(_Mapped):
     _released = False
 
     def release(self) -> None:
-        """Close the mapping, then drop the pin, reporting whether the
-        close worked.  A mapping with live views survives, and its
-        object then stays cached until evicted."""
+        """Drop the pin, reporting whether any view of the object
+        survives.  If one does, the object stays cached until evicted."""
         if self._released:
             return
         self._released = True
-        self.client.release(self.oid, self._unmap())
+        self.client.release(self.oid, self._done())
 
     def __enter__(self) -> "SealedObject":
         return self
@@ -143,6 +167,43 @@ class StoreClient:
             self._sock.setsockopt(socket.SOL_SOCKET, option, bound)
         self._sock.connect(str(socket_path))
         self._lock = threading.Lock()
+        # Idle mappings, least recently used first; None once closed.  Its
+        # own lock, since ``_request`` closes the session under ``_lock``.
+        self._idle: OrderedDict[tuple, mmap.mmap] | None = OrderedDict()
+        self._idle_lock = threading.Lock()
+
+    def _map(self, fd: int, size: int, prot: int, flags: int) -> tuple[tuple, mmap.mmap]:
+        """Map ``size`` bytes of the segment ``fd`` and close ``fd``,
+        reusing an idle mapping of the same segment and protection when it
+        is long enough.  A segment keeps its page count for life (see
+        :mod:`hprm.store.daemon`), so a longer mapping never covers a page
+        past its end.  Returns (key, mapping)."""
+        try:
+            st = os.fstat(fd)
+            key = (st.st_dev, st.st_ino, prot)
+            with self._idle_lock:
+                mm = self._idle.pop(key, None) if self._idle is not None else None
+            if mm is not None and len(mm) >= size:
+                return key, mm
+            if mm is not None:
+                mm.close()
+            return key, mmap.mmap(fd, size, flags=flags, prot=prot)
+        finally:
+            os.close(fd)
+
+    def _keep(self, key: tuple, mm: mmap.mmap) -> None:
+        """Take back a mapping no view uses, as the most recently used;
+        close whatever that displaces."""
+        with self._idle_lock:
+            if self._idle is None:
+                gone = [mm]
+            else:
+                gone = [self._idle.pop(key)] if key in self._idle else []
+                self._idle[key] = mm
+                while len(self._idle) > MAPPINGS_CACHED:
+                    gone.append(self._idle.popitem(last=False)[1])
+        for old in gone:
+            old.close()
 
     def _recv_exact(self, n: int) -> bytes:
         chunks = []
@@ -200,7 +261,7 @@ class StoreClient:
 
     def put(self, size: int, pieces, reads: int = 0) -> bytes:
         """Create a ``size``-byte object, write each ``(offset, data)`` of
-        ``pieces`` into it, close the mapping, then seal it for ``reads``
+        ``pieces`` into it, close it, then seal it for ``reads``
         gets.  Returns the object's id."""
         obj = self.create(size)
         with obj:
@@ -224,13 +285,18 @@ class StoreClient:
         return json.loads(blob.decode())
 
     def close(self) -> None:
-        """End the session; a request blocked on it in another thread
-        wakes with an error, and the daemon releases the session's pins."""
+        """End the session and unmap its idle mappings; a request blocked
+        on it in another thread wakes with an error, and the daemon
+        releases the session's pins."""
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass  # already closed, or never connected
         self._sock.close()
+        with self._idle_lock:
+            idle, self._idle = self._idle, None
+        for mm in (idle or {}).values():
+            mm.close()
 
     def __enter__(self) -> "StoreClient":
         return self

@@ -13,16 +13,18 @@ exceed the free bytes, so live plus pooled memory stays within capacity.
 An object dies when it is evicted, or when it is retired after its last
 expected read: SEAL declares how many gets it will see, and the RELEASE
 that ends the last of them, with every reader's mapping reported closed,
-moves its segment straight into the pool.  A create takes a pooled
-segment of the same page count, if there is one: its pages are already
-faulted in, which skips the kernel's zero-fill.
+moves its segment straight into the pool.  A create takes the most
+recently retired pooled segment of the same page count, if there is
+one: its pages are already faulted in, which skips the kernel's
+zero-fill, and handing out the newest keeps few segments in circulation,
+so each client session maps each of them once (:mod:`hprm.store.client`).
 
 Pins protect readers: only sealed objects with zero references are ever
-evicted.  A release whose mapping is still open keeps its object cached
-until LRU eviction, so a mapping kept past its release stays valid until
-then, and afterwards may observe recycled contents.  It never faults: a
-recycled segment keeps its page count, so every page a mapping covers
-stays inside the segment.
+evicted.  A release that reports a view of the object still open keeps
+the object cached until LRU eviction, so a view kept past its release
+stays valid until then, and afterwards may observe recycled contents.
+It never faults: a recycled segment keeps its page count, so every page
+a mapping covers stays inside the segment.
 
 Every request is answered at once.  A GET of an object that is unknown
 (never created, evicted, or retired) or not yet sealed fails with
@@ -93,12 +95,16 @@ class StoreDaemon:
     # -- segments ----------------------------------------------------------
 
     def _segment(self, size: int) -> int:
-        """A descriptor of ``size`` bytes: the oldest pooled segment of
-        the same page count, else a new memfd.  Shrinking a larger one
-        would make a mapping kept past its release fault (SIGBUS) on the
-        pages cut off."""
+        """A descriptor of ``size`` bytes: the most recently retired
+        pooled segment of the same page count, else a new memfd.  Newest
+        first keeps the segments in circulation few, so clients' idle
+        mappings of them stay reusable.  Shrinking a larger one would make
+        a mapping kept past its release fault (SIGBUS) on the pages cut
+        off."""
         pages = -(-size // _PAGE)
-        match = next((e for e in self._pool if -(-e[0] // _PAGE) == pages), None)
+        match = next(
+            (e for e in reversed(self._pool) if -(-e[0] // _PAGE) == pages), None
+        )
         if match is not None:
             self._pool.remove(match)
             fd = match[1]

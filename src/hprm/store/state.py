@@ -12,7 +12,7 @@ the reference: a get that finds no sealed object finds one that is gone.
 A seal may declare how many gets its publisher will cause.  Such an
 object is *retired after its last expected read*: it is removed
 as soon as those gets are used up, no pin is left, and every release
-reported its mapping closed.  A release that left a view open, or a seal
+reported no view of it left.  A release that left a view open, or a seal
 that declared no reads, leaves the object cached until eviction.
 
 Only sealed objects with zero references may be evicted.  Eviction is
@@ -155,8 +155,9 @@ class StoreState:
         return Status.OK, entry.size
 
     def release(self, oid: bytes, unmapped: bool = False) -> Status:
-        """Drop one pin.  ``unmapped`` says the reader's mapping is closed;
-        a release that left it open keeps the object until evicted.  The
+        """Drop one pin.  ``unmapped`` says no view of the reader's
+        mapping survives; a release that left one keeps the object until
+        evicted.  The
         release of the last expected read removes the object, and the
         caller owns reclaiming its backing storage."""
         entry = self._entries.get(oid)

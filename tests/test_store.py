@@ -13,6 +13,7 @@ import random
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -585,12 +586,16 @@ def store_process(tmp_path):
 
 
 def test_descriptors_are_closed_after_each_cycle(store_process):
+    """Each idle mapping a session keeps holds one descriptor (``mmap``
+    dups it): never more than the cache size per session, and none once
+    the sessions are closed."""
     _, sock = store_process
     # A mapping that an earlier test left in a reference cycle holds a
     # descriptor until a collection frees it: free them before counting.
     gc.collect()
+    start = len(os.listdir("/proc/self/fd"))
     with StoreClient(sock) as writer, StoreClient(sock) as reader:
-        start = len(os.listdir("/proc/self/fd"))
+        opened = len(os.listdir("/proc/self/fd"))  # the two sessions' sockets
         for i in range(200):
             obj = writer.create(4096 + 64 * i)  # mixed sizes, evicting late on
             obj.write(0, bytes([i]) * 16)
@@ -598,11 +603,13 @@ def test_descriptors_are_closed_after_each_cycle(store_process):
             obj.close()
             with reader.get(obj.oid) as sealed:
                 assert sealed.view[:16].tobytes() == bytes([i]) * 16
+            held = len(os.listdir("/proc/self/fd"))
+            assert held <= opened + 2 * store_client.MAPPINGS_CACHED
         with pytest.raises(StoreError):
             writer.create(64, oid=obj.oid)
         with pytest.raises(StoreError, match="UNKNOWN_ID"):
             reader.get(random_object_id())
-        assert len(os.listdir("/proc/self/fd")) == start
+    assert len(os.listdir("/proc/self/fd")) == start
 
 
 def test_daemon_module_starts_without_a_runtime_warning():
@@ -763,3 +770,162 @@ def test_view_kept_past_release_survives_a_smaller_create(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, (proc.returncode, proc.stderr.decode())
+
+
+# -- each segment mapped once per session ---------------------------------------
+
+
+def _count_mmaps(monkeypatch) -> list[tuple[int, int]]:
+    """Record (segment inode, protection) for every mapping the client makes."""
+    calls = []
+    real = store_client.mmap.mmap
+
+    def counted(fd, length, *args, **kwargs):
+        calls.append((os.fstat(fd).st_ino, kwargs["prot"]))
+        return real(fd, length, *args, **kwargs)
+
+    monkeypatch.setattr(store_client.mmap, "mmap", counted)
+    return calls
+
+
+def _cycle(writer, reader, size: int, fill: bytes) -> None:
+    """Write, seal for one read, read back and release: the segment is
+    recycled at the release."""
+    obj = writer.create(size)
+    obj.write(0, fill * size)
+    obj.close()
+    obj.seal(reads=1)
+    with reader.get(obj.oid) as sealed:
+        assert sealed.view.tobytes() == fill * size
+
+
+def test_a_recycled_segment_is_mapped_once_per_session(tmp_path, monkeypatch):
+    calls = _count_mmaps(monkeypatch)
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=2**20).start()
+    try:
+        with StoreClient(daemon.socket_path) as writer, StoreClient(
+            daemon.socket_path
+        ) as reader:
+            for i in range(50):
+                _cycle(writer, reader, 64 * 1024, bytes([i]))
+            assert writer.stats()["recycled"] == 50
+    finally:
+        daemon.stop()
+    # one segment, mapped once for writing and once for reading
+    assert len(calls) == len(set(calls)) == 2
+
+
+def test_a_view_kept_past_release_keeps_its_mapping_out_of_reuse(tmp_path, monkeypatch):
+    reported = []
+    release = StoreClient.release
+
+    def recorded(self, oid, unmapped=False):
+        reported.append(unmapped)
+        release(self, oid, unmapped)
+
+    monkeypatch.setattr(StoreClient, "release", recorded)
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=2**20).start()
+    try:
+        with StoreClient(daemon.socket_path) as writer, StoreClient(
+            daemon.socket_path
+        ) as reader:
+            _cycle(writer, reader, 4096, b"w")  # the reader now caches a mapping
+            obj = writer.create(4096)
+            obj.write(0, b"k" * 4096)
+            obj.close()
+            obj.seal(reads=1)
+            sealed = reader.get(obj.oid)
+            kept_map = sealed._mm
+            kept = np.frombuffer(sealed.view, dtype=np.uint8)
+            sealed.release()
+            assert reported[-1] is False
+            assert obj.oid in daemon.state
+            for i in range(20):
+                later = writer.create(4096)
+                later.write(0, bytes([i]) * 4096)
+                later.close()
+                later.seal(reads=1)
+                with reader.get(later.oid) as again:
+                    assert again._mm is not kept_map
+                assert reported[-1] is True
+            assert kept.tobytes() == b"k" * 4096
+    finally:
+        daemon.stop()
+
+
+def test_a_smaller_object_sees_only_its_own_bytes_of_a_longer_mapping(
+    tmp_path, monkeypatch
+):
+    calls = _count_mmaps(monkeypatch)
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=2**20).start()
+    try:
+        with StoreClient(daemon.socket_path) as client:
+            _cycle(client, client, 8000, b"L")  # two pages
+            small = client.create(5000)  # two pages: the same segment
+            assert len(calls) == 2  # the 8000-byte mapping was reused
+            assert small.view.nbytes == 5000
+            assert small.write(0, b"s" * 5000) == 5000
+            with pytest.raises(ValueError):
+                small.write(4990, b"s" * 20)
+            small.close()
+            small.seal(reads=1)
+            with client.get(small.oid) as sealed:
+                assert sealed.view.tobytes() == b"s" * 5000
+            assert len(calls) == 2
+    finally:
+        daemon.stop()
+
+
+def test_a_create_takes_the_most_recently_retired_segment(tmp_path):
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=2**20).start()
+    try:
+        with StoreClient(daemon.socket_path) as client:
+            first, second = client.create(4096), client.create(4096)
+            for obj in (first, second):
+                obj.close()
+                obj.seal(reads=1)
+            newest = os.fstat(daemon._segments[second.oid][1]).st_ino
+            for obj in (first, second):  # retired in this order
+                client.get(obj.oid).release()
+            assert len(daemon._pool) == 2
+            again = client.create(4096)
+            again.close()
+            assert os.fstat(daemon._segments[again.oid][1]).st_ino == newest
+    finally:
+        daemon.stop()
+
+
+def test_threads_sharing_sessions_keep_every_mapping_accounted(store_process):
+    """Threads sharing one writer and one reader session: every object
+    reads back its own bytes, and closing the sessions leaves no
+    descriptor behind, so no idle mapping was lost or handed out twice."""
+    _, sock = store_process
+    gc.collect()
+    start = len(os.listdir("/proc/self/fd"))
+    failures = []
+
+    def work(writer, reader, fill):
+        try:
+            for _ in range(40):
+                _cycle(writer, reader, 4096, fill)
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with StoreClient(sock) as writer, StoreClient(sock) as reader:
+            threads = [
+                threading.Thread(target=work, args=(writer, reader, bytes([i])))
+                for i in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert failures == []
+            assert len(reader._idle) <= store_client.MAPPINGS_CACHED
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(os.listdir("/proc/self/fd")) == start
