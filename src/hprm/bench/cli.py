@@ -68,7 +68,6 @@ def main(argv=None) -> int:
             iterations=args.iters,
             warmup=args.warmup,
             stp_offset_ns=args.stp_ns,
-            out=args.out,
             period_ns=args.period_ns,
             runs=args.runs,
             inject_latency_ns=args.inject_latency_ns,

@@ -1,8 +1,8 @@
 """A per-connection delay line: the benchmark's model of receive latency.
 
 :class:`DelayListener` wraps a :class:`~hprm.transport.FrameListener`.
-Each connection it accepts reads its socket on a thread of its own and
-holds each frame until
+Each connection it accepts is served by one thread of its own, which
+stamps each frame as it arrives and holds it until
 
     due = max(previous due, min(arrival, tag.time) + U[0, jitter_ns])
 
@@ -13,14 +13,17 @@ the modeled wire latency.  The first frame is the sender's hello; it
 passes at once and names the sender, whose fid seeds the draws as
 ``(seed << 32) ^ crc32(fid)``, so a run is reproducible per connection.
 
-A second thread writes each frame, once due and in arrival order, into
-one end of a socket pair.  The accepted :class:`DelayedConnection`
-receives from the other end as a plain
-:class:`~hprm.transport.FrameConnection`, so an event loop reads it like
-any other connection.  Frames are never dropped: end of stream, or a
-transport error, reaches the reader only after the last held frame (an
-error as a frame of type 0, which no peer sends).  Sends and ``close``
-go straight to the wrapped connection.  Pass a listener to
+The thread waits in ``select()`` on the wrapped connection until the
+head frame is due (a ``select`` timeout keeps to the microsecond), so it
+stamps the frames each read brings as they come, and writes each due
+frame, in arrival order, into one end of a socket pair; only once the
+wrapped stream has ended does it sleep to the next due time.  The
+accepted :class:`DelayedConnection` receives from the other end as a
+plain :class:`~hprm.transport.FrameConnection`, so an event loop reads
+it like any other connection.  Frames are never dropped: end of stream,
+or a transport error, reaches the reader only after the last held frame
+(an error as a frame of type 0, which no peer sends).  Sends and
+``close`` go straight to the wrapped connection.  Pass a listener to
 ``Federate(..., listener=DelayListener(...))``.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import select
 import socket
 import threading
 import time
@@ -47,7 +51,7 @@ _ERROR = HEADER.pack(0, 0, 0, 0, 0, 0)  # no such frame type: fails the read
 
 
 def _elevate_io_thread() -> None:
-    """Rank a delay-line thread above the federate under a real-time policy.
+    """Rank the delay-line thread above the federate under a real-time policy.
 
     On Linux these scheduler calls act on the calling thread.  When the
     process was given a real-time class (the ``hprm.bench`` workers run
@@ -74,72 +78,55 @@ class DelayedConnection(FrameConnection):
         self._out = FrameConnection(ours, conn.options)
         self._jitter_ns = jitter_ns
         self._seed = seed
-        self._cond = threading.Condition()
-        self._held: deque[tuple[int, Frame]] = deque()  # (due_ns, frame)
-        self._ended = False
-        self._error: BaseException | None = None
-        threading.Thread(target=self._read, name="delay-line", daemon=True).start()
-        threading.Thread(target=self._pump, name="delay-pump", daemon=True).start()
+        self._rng: random.Random | None = None  # seeded by the hello
+        self._due = 0
+        threading.Thread(target=self._run, name="delay-line", daemon=True).start()
 
-    def _read(self) -> None:
+    def _run(self) -> None:
+        """Stamp the frames each read brings; hand each on once due, in
+        arrival order; then the end of stream, or the error frame."""
         _elevate_io_thread()
+        held: deque[tuple[int, Frame]] = deque()  # (due_ns, frame)
+        reading, failed = True, False
         try:
-            hello = self._conn.recv_frame()
-            if hello is None:
-                return
-            self._hold(time.monotonic_ns(), hello)
-            try:
-                src = json.loads(hello.body)["fid"]
-            except (ValueError, KeyError, TypeError):
-                src = ""
-            rng = random.Random((self._seed << 32) ^ zlib.crc32(src.encode()))
-            due = 0
-            while (frame := self._conn.recv_frame()) is not None:
-                arrival = time.monotonic_ns()
-                draw = int(rng.uniform(0, self._jitter_ns))
-                due = max(due, min(arrival, frame.tag.time) + draw)
-                self._hold(due, frame)
-        except (TransportError, OSError) as exc:
-            self._error = exc
-        finally:
-            with self._cond:
-                self._ended = True
-                self._cond.notify()
-
-    def _hold(self, due_ns: int, frame: Frame) -> None:
-        with self._cond:
-            self._held.append((due_ns, frame))
-            self._cond.notify()
-
-    def _pump(self) -> None:
-        """Hand each held frame on once it is due; then the end."""
-        _elevate_io_thread()
-        try:
-            while (frame := self._next_due()) is not None:
-                self._out.send_frame(frame)
-            if self._error is not None:
+            while reading or held:
+                timeout = None
+                if held:
+                    timeout = max(0, held[0][0] - time.monotonic_ns()) / 1e9
+                if not reading:
+                    time.sleep(timeout)  # nothing more can arrive
+                else:
+                    try:
+                        if select.select([self._conn], [], [], timeout)[0]:
+                            reading = self._conn.read()
+                            arrival = time.monotonic_ns()
+                            while (frame := self._conn.buffered_frame()) is not None:
+                                held.append((self._stamp(arrival, frame), frame))
+                    except (TransportError, OSError, ValueError):
+                        reading, failed = False, True  # ValueError: closed under us
+                now = time.monotonic_ns()
+                while held and held[0][0] <= now:
+                    self._out.send_frame(held.popleft()[1])
+            if failed:
                 self._ours.sendall(_ERROR)
         except OSError:
             pass  # the reader closed its end
         finally:
             self._out.close()
 
-    def _next_due(self) -> Frame | None:
-        """The next held frame once it is due; None once every held
-        frame has been handed on and the wrapped connection has ended."""
-        with self._cond:
-            while True:
-                if self._held:
-                    due, frame = self._held[0]
-                    wait_ns = due - time.monotonic_ns()
-                    if wait_ns <= 0:
-                        self._held.popleft()
-                        return frame
-                    self._cond.wait(wait_ns / 1e9)
-                elif self._ended:
-                    return None
-                else:
-                    self._cond.wait()
+    def _stamp(self, arrival: int, frame: Frame) -> int:
+        """The due time of a frame that arrived at ``arrival``.  The first
+        is the sender's hello: due at once, it seeds the draws."""
+        if self._rng is None:
+            try:
+                src = json.loads(frame.body)["fid"]
+            except (ValueError, KeyError, TypeError):
+                src = ""
+            self._rng = random.Random((self._seed << 32) ^ zlib.crc32(src.encode()))
+            return arrival
+        draw = int(self._rng.uniform(0, self._jitter_ns))
+        self._due = max(self._due, min(arrival, frame.tag.time) + draw)
+        return self._due
 
     def send_frame(self, frame: Frame) -> None:
         self._conn.send_frame(frame)

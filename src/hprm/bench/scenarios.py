@@ -66,7 +66,6 @@ class BenchConfig:
     iterations: int = 100
     warmup: int = 10
     stp_offset_ns: int = 0
-    out: str | None = None
     period_ns: int | None = None
     runs: int = 10_000
     inject_latency_ns: int = 0

@@ -38,7 +38,7 @@ broadcasts a stop tag one microstep past the latest reported activity.
 
 :class:`RtiServer` serves the listener and every federate connection
 from one :class:`~hprm.loop.FrameLoop` on one thread.  It listens on
-TCP, and its sends are the transport's two ``sendall`` calls.
+TCP, and each send is the transport's two blocking writes.
 """
 
 from __future__ import annotations
@@ -129,11 +129,6 @@ class StartInfo:
     addresses: dict[str, tuple[str, int] | str]
 
 
-@dataclass(frozen=True)
-class StopInfo:
-    stop_tag: Tag
-
-
 class RtiState:
     """The coordination rules, free of sockets (see RtiServer for those)."""
 
@@ -155,7 +150,7 @@ class RtiState:
         self._sent_total = 0  # sums of the records' counters, for autostop
         self._received_total = 0
         self.start_tag: Tag | None = None
-        self._stop_info: StopInfo | None = None
+        self._stop_tag: Tag | None = None
         self._stop_pending = False
 
     def _record(self, fid: str) -> FederateRecord:
@@ -280,7 +275,7 @@ class RtiState:
             for r in self.records.values()
         )
 
-    def request_stop(self, at: Tag | None = None) -> StopInfo | None:
+    def request_stop(self, at: Tag | None = None) -> Tag | None:
         """Explicit stop; deferred until start if still registering."""
         if self.phase is Phase.REGISTERING:
             self._stop_pending = True
@@ -290,10 +285,10 @@ class RtiState:
     def pending_stop(self) -> bool:
         return self._stop_pending
 
-    def initiate_stop(self, at: Tag | None = None) -> StopInfo:
+    def initiate_stop(self, at: Tag | None = None) -> Tag:
         """Pick the stop tag: one microstep past the latest known activity."""
-        if self._stop_info is not None:
-            return self._stop_info
+        if self._stop_tag is not None:
+            return self._stop_tag
         candidates = [self.start_tag if self.start_tag is not None else Tag(0, 0)]
         for record in self.records.values():
             for tag in (record.announced, record.completed):
@@ -301,10 +296,10 @@ class RtiState:
                     candidates.append(tag)
         if at is not None and at.is_finite():
             candidates.append(at)
-        self._stop_info = StopInfo(delay_tag(max(candidates), NO_DELAY))
+        self._stop_tag = delay_tag(max(candidates), NO_DELAY)
         self.phase = Phase.STOPPING
-        log.info("stop tag %r", self._stop_info.stop_tag)
-        return self._stop_info
+        log.info("stop tag %r", self._stop_tag)
+        return self._stop_tag
 
 
 class RtiServer:
@@ -361,12 +356,12 @@ class RtiServer:
         for grant in grants:
             self._send(grant.fid, Frame(FrameType.TAG_GRANT, grant.tag))
 
-    def _broadcast_stop(self, info: StopInfo) -> None:
+    def _broadcast_stop(self, stop_tag: Tag) -> None:
         if self._stop_broadcast:
             return
         self._stop_broadcast = True
         for fid in list(self._conns):
-            self._send(fid, Frame(FrameType.STOP, info.stop_tag))
+            self._send(fid, Frame(FrameType.STOP, stop_tag))
 
     def _maybe_autostop(self) -> None:
         if not self._stop_broadcast and self.state.autostop_ready():
@@ -408,9 +403,9 @@ class RtiServer:
             )
             self._maybe_autostop()
         elif frame.type == FrameType.STOP:
-            info = self.state.request_stop(frame.tag if frame.tag.is_finite() else None)
-            if info is not None:
-                self._broadcast_stop(info)
+            stop = self.state.request_stop(frame.tag if frame.tag.is_finite() else None)
+            if stop is not None:
+                self._broadcast_stop(stop)
         else:
             raise RtiProtocolError(
                 f"{fid!r} sent unexpected {FrameType(frame.type).name}"

@@ -16,10 +16,7 @@ reported no view of it left.  A release that left a view open, or a seal
 that declared no reads, leaves the object cached until eviction.
 
 Only sealed objects with zero references may be evicted.  Eviction is
-bulk and least-recently-used: one pass frees at least
-``max(bytes_needed, eviction_fraction * capacity)`` when that much is
-reclaimable, so a burst of large creates doesn't pay the eviction dance
-per object.
+least-recently-used and frees only what a create needs.
 """
 
 from __future__ import annotations
@@ -70,13 +67,10 @@ class CreateResult:
 
 
 class StoreState:
-    def __init__(self, capacity_bytes: int, *, eviction_fraction: float = 0.2):
+    def __init__(self, capacity_bytes: int):
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
-        if not 0.0 <= eviction_fraction <= 1.0:
-            raise ValueError("eviction fraction must be within [0, 1]")
         self.capacity_bytes = capacity_bytes
-        self.eviction_fraction = eviction_fraction
         self.counters = StoreCounters()
         self._entries: dict[bytes, _Entry] = {}
         self._occupancy = 0
@@ -187,14 +181,11 @@ class StoreState:
         return Status.OK
 
     def evict(self, bytes_needed: int) -> tuple[int, tuple[bytes, ...]]:
-        """Bulk-evict least-recently-used idle objects.
-
-        Frees at least ``max(bytes_needed, eviction_fraction * capacity)``
-        if that much is evictable, otherwise everything evictable.
+        """Evict least-recently-used idle objects until at least
+        ``bytes_needed`` is freed, or everything evictable if that is less.
         Returns (bytes freed, evicted ids); the caller owns reclaiming
         the ids' backing storage.
         """
-        goal = max(bytes_needed, int(self.capacity_bytes * self.eviction_fraction))
         candidates = sorted(
             (
                 e
@@ -206,7 +197,7 @@ class StoreState:
         freed = 0
         evicted: list[bytes] = []
         for entry in candidates:
-            if freed >= goal:
+            if freed >= bytes_needed:
                 break
             del self._entries[entry.oid]
             self._occupancy -= entry.size

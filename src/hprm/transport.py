@@ -26,12 +26,12 @@ per-connection negotiation).
 
 Sends never concatenate a body into a fresh buffer.  On a Unix socket a
 frame is one ``sendmsg([header, body])``; a partial write resends the
-rest.  TCP writes the header and the body as two writes.  A connection
-whose ``wait_writable`` is set writes without blocking on either family
-and calls it whenever the socket buffer is full, so an event loop can
-keep reading while a large frame drains; otherwise TCP's two writes are
-two ``sendall`` calls.  With packet coalescing left on,
-the kernel may hold the small header write back waiting for an ACK,
+rest.  TCP writes the header and the body as two ``sendmsg`` calls.  A
+connection whose ``wait_writable`` is set writes without blocking on
+either family and calls it whenever the socket buffer is full, so an
+event loop can keep reading while a large frame drains; otherwise each
+write blocks until the kernel takes all of it.  With packet coalescing
+left on, the kernel may hold the small header write back waiting for an ACK,
 which is catastrophic for request/response latency (the bench's ping
 scenario measures exactly this); ``ConnectionOptions.disable_coalescing``
 (default on) sets TCP_NODELAY.
@@ -176,14 +176,10 @@ class FrameConnection:
         with self._send_lock:
             if self._unix:
                 self._sendmsg([header, frame.body] if frame.body else [header])
-            elif self.wait_writable is not None:
+            else:
                 self._sendmsg([header])
                 if frame.body:
                     self._sendmsg([frame.body])
-            else:
-                self._sock.sendall(header)
-                if frame.body:
-                    self._sock.sendall(frame.body)
 
     def _sendmsg(self, pending: list) -> None:
         """Write ``pending`` with one ``sendmsg`` per attempt, dropping what

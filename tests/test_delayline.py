@@ -2,6 +2,7 @@
 
 import json
 import random
+import threading
 import time
 import zlib
 
@@ -103,3 +104,41 @@ def test_sends_and_close_pass_through(line):
     assert sender.recv_frame() == ping
     receiver.close()
     assert sender.recv_frame() is None
+
+
+def test_a_connection_runs_one_thread_that_ends_after_eof():
+    before = set(threading.enumerate())
+    listener = DelayListener(FrameListener(), 20 * MS, seed=3)
+    sender = connect(listener.address)
+    sender.send_frame(HELLO)
+    receiver = listener.accept()
+    listener.close()
+    (thread,) = set(threading.enumerate()) - before
+    assert receiver.recv_frame() == HELLO
+    sender.send_frame(msg(0, time.monotonic_ns() + 10**9))
+    sender.close()
+    assert receiver.recv_frame().body == b"\x00"
+    assert receiver.recv_frame() is None
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    receiver.close()
+
+
+@pytest.mark.parametrize("line", [1000 * MS], indirect=True)
+def test_a_frame_arriving_behind_a_held_one_leaves_at_its_own_due_time(line):
+    """Frame 1 arrives while frame 0 is held and is due d1 / 2 after
+    frame 0.  Stamped only once frame 0 left, it would leave d1 / 2 late."""
+    sender, receiver = line
+    assert receiver.recv_frame() == HELLO
+    d0, d1 = draws(2, 1000 * MS)  # 989 and 401 ms
+    future = time.monotonic_ns() + 10 * 10**9  # anchors both at the arrival
+    t0 = time.monotonic_ns()
+    sender.send_frame(msg(0, future))
+    time.sleep((d0 - d1 // 2) / 1e9)
+    t1 = time.monotonic_ns()
+    sender.send_frame(msg(1, future))
+    assert t1 < t0 + d0  # frame 0 is still held
+    assert receiver.recv_frame().body == b"\x00"
+    assert receiver.recv_frame().body == b"\x01"
+    released = time.monotonic_ns()
+    assert t1 + d1 <= released <= t1 + d1 + 100 * MS

@@ -186,9 +186,9 @@ def test_autostop_when_everyone_announces_forever():
     assert not state.autostop_ready()
     state.handle_net("b", FOREVER, completed=Tag(1 * S, 1))
     assert state.autostop_ready()
-    info = state.initiate_stop()
-    assert info.stop_tag == Tag(1 * S, 2)  # one microstep past the last completion
-    assert state.initiate_stop() is info  # idempotent
+    stop = state.initiate_stop()
+    assert stop == Tag(1 * S, 2)  # one microstep past the last completion
+    assert state.initiate_stop() is stop  # idempotent
 
 
 def test_stop_tag_example_all_completed_at_one_second():
@@ -197,7 +197,7 @@ def test_stop_tag_example_all_completed_at_one_second():
     for fid in ("a", "b"):
         state.handle_net(fid, Tag(1 * S, 0))
         state.handle_net(fid, FOREVER, completed=Tag(1 * S, 0))
-    assert state.initiate_stop().stop_tag == Tag(1 * S, 1)
+    assert state.initiate_stop() == Tag(1 * S, 1)
 
 
 def test_autostop_by_quiescence_counting_on_delayed_cycle():
@@ -234,9 +234,9 @@ def test_stop_requested_before_start_is_deferred():
     assert state.request_stop() is None
     assert state.pending_stop()
     state.register("b", 0, ("h", 2))
-    info = state.request_stop()
-    assert info is not None
-    assert info.stop_tag > state.start_tag
+    stop = state.request_stop()
+    assert stop is not None
+    assert stop > state.start_tag
 
 
 # -- the socket front end -----------------------------------------------------------
@@ -411,7 +411,7 @@ def run_federation_simulation(topology, initial_events, seed):
     for fed in feds.values():
         announce(fed)  # final quiescence reports
     assert state.autostop_ready(), "drained federation should be stoppable"
-    stop = state.initiate_stop().stop_tag
+    stop = state.initiate_stop()
     for fed in feds.values():
         assert all(t < stop for t in fed.processed)
         assert fed.processed == sorted(fed.processed)

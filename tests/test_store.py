@@ -116,16 +116,6 @@ def test_lru_eviction_takes_oldest_idle_objects():
     assert a not in s and b not in s and c in s
 
 
-def test_eviction_frees_at_least_the_configured_fraction():
-    s = StoreState(1000, eviction_fraction=0.5)
-    for i in range(10):
-        s.create(oid_of(i + 1), 100)
-        s.seal(oid_of(i + 1))
-    freed, evicted = s.evict(100)
-    assert freed >= 500  # fraction beats the immediate need
-    assert len(evicted) == 5
-
-
 def test_pinned_and_unsealed_objects_are_not_evictable():
     s = StoreState(1000)
     a, b, c = oid_of(1), oid_of(2), oid_of(3)
@@ -196,9 +186,8 @@ def test_unknown_reads_cache_the_object_as_before():
 class _Model:
     """Independent reference implementation: flat dicts, brute-force scans."""
 
-    def __init__(self, capacity, fraction):
+    def __init__(self, capacity):
         self.capacity = capacity
-        self.fraction = fraction
         # oid -> [size, sealed, refs, stamp, declared reads, gets, view kept]
         self.objects = {}
         self.clock = 0
@@ -212,7 +201,6 @@ class _Model:
         return sum(o[0] for o in self.objects.values())
 
     def evict(self, needed):
-        goal = max(needed, int(self.capacity * self.fraction))
         idle = sorted(
             (o for o in self.objects.items() if o[1][1] and o[1][2] == 0),
             key=lambda kv: kv[1][3],
@@ -220,7 +208,7 @@ class _Model:
         out = []
         freed = 0
         for oid, (size, *_rest) in idle:
-            if freed >= goal:
+            if freed >= needed:
                 break
             del self.objects[oid]
             freed += size
@@ -284,7 +272,7 @@ class StoreLifecycleMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.real = StoreState(self.CAPACITY)
-        self.model = _Model(self.CAPACITY, 0.2)
+        self.model = _Model(self.CAPACITY)
 
     ids = st.sampled_from([oid_of(i) for i in range(1, 7)])
     # Half the sizes let several objects live at once; the rest cover bad,
