@@ -20,6 +20,7 @@ import sys
 
 from hprm.bench.report import emit_report
 from hprm.bench.scenarios import MODES, SCENARIOS, BenchConfig, BenchError
+from hprm.store.daemon import DEFAULT_CAPACITY
 
 
 def _sizes(text: str) -> tuple[float, ...]:
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ordering: uniform inbound delay bound")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pings", type=int, default=1000)
-    parser.add_argument("--store-capacity", type=int, default=1 << 30)
+    parser.add_argument("--store-capacity", type=int, default=DEFAULT_CAPACITY)
     return parser
 
 

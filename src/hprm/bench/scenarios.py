@@ -44,12 +44,12 @@ from hprm.serde import (
     serialize,
 )
 from hprm.store import StoreClient
+from hprm.store.daemon import DEFAULT_CAPACITY
 from hprm.tags import Delay
 from hprm.topology import Connection, Topology
-from hprm.transport import ConnectionOptions, connect, ping_rtt
+from hprm.transport import EAGER_BUFFER_BYTES, ConnectionOptions, connect, ping_rtt
 
 MB = 1 << 20
-DEFAULT_STORE_CAPACITY = 1 << 30
 MODES = ("centralized", "decentralized", "copy-baseline")
 
 
@@ -71,7 +71,7 @@ class BenchConfig:
     inject_latency_ns: int = 0
     seed: int = 1
     pings: int = 1000
-    store_capacity: int = DEFAULT_STORE_CAPACITY
+    store_capacity: int = DEFAULT_CAPACITY
 
     def __post_init__(self):
         if self.nodes < 2:
@@ -308,7 +308,7 @@ def _run_payload_scenario(cfg: BenchConfig, size_bytes: int, gather: bool):
     copy = cfg.mode == "copy-baseline"
     shared = {
         "mode": "decentralized" if copy else cfg.mode,
-        "eager_buffer_bytes": size_bytes + (128 << 10) if copy else 65536,
+        "eager_buffer_bytes": size_bytes + (128 << 10) if copy else EAGER_BUFFER_BYTES,
         "stp_offset_ns": cfg.stp_offset_ns,
         "size_bytes": size_bytes,
         "period_ns": period,

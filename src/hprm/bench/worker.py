@@ -37,10 +37,10 @@ from hprm.transport import ConnectionOptions, FrameListener, listen, serve_echo
 
 
 def _options(cfg: dict) -> ConnectionOptions:
-    return ConnectionOptions(
-        eager_buffer_bytes=cfg.get("eager_buffer_bytes", 65536),
-        disable_coalescing=cfg.get("disable_coalescing", True),
-    )
+    """The config's transport settings; ``ConnectionOptions`` holds the
+    defaults for those it leaves out."""
+    fields = ("eager_buffer_bytes", "disable_coalescing")
+    return ConnectionOptions(**{k: cfg[k] for k in fields if k in cfg})
 
 
 def _build_federate(cfg: dict) -> Federate:

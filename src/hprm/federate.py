@@ -98,6 +98,9 @@ DECENTRALIZED = "decentralized"
 # object no one has pinned yet, so a publisher must not run further ahead.
 OBJ_WINDOW = 4
 
+# How long start() retries refused connects while peers' listeners come up.
+CONNECT_RETRY_S = 10.0
+
 
 class FederateError(Exception):
     pass
@@ -140,7 +143,6 @@ class FederateConfig:
     listen_host: str = "127.0.0.1"
     stp_offset_ns: int = 0
     connection: ConnectionOptions = field(default_factory=ConnectionOptions)
-    connect_retry_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.mode not in (CENTRALIZED, DECENTRALIZED):
@@ -410,9 +412,7 @@ class Federate:
         if self.config.store_path:
             self._store = StoreClient(self.config.store_path)
             self._pin_budget = self._store.stats()["capacity_bytes"] // 2
-        self._rti = connect(
-            self.config.rti_address, opts, retry_for=self.config.connect_retry_s
-        )
+        self._rti = connect(self.config.rti_address, opts, retry_for=CONNECT_RETRY_S)
         join_body = json.dumps(
             {
                 "fid": self.fid,
@@ -431,7 +431,7 @@ class Federate:
         self._loop.watch(self._rti, self._from_rti)
         hello = json.dumps({"fid": self.fid}).encode()
         for dst in self._downstream:
-            conn = connect(addresses[dst], opts, retry_for=self.config.connect_retry_s)
+            conn = connect(addresses[dst], opts, retry_for=CONNECT_RETRY_S)
             conn.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=hello))
             conn.wait_writable = lambda c=conn: self._loop.read_until_writable(c)
             self._peers_out[dst] = conn
@@ -528,7 +528,7 @@ class Federate:
                 # payload and unpin it, so that pins never crowd out the
                 # objects publishers create next.
                 view = memoryview(bytes(view))
-                sealed.release()
+                self._unpin(sealed)
                 sealed = None
             payload = decode_payload(view)
             self._arrive(frame, src, payload, sealed)
@@ -765,13 +765,23 @@ class Federate:
             else:
                 reaction.handler(ctx)
 
-    @staticmethod
-    def _release(item: _Queued) -> None:
+    def _release(self, item: _Queued) -> None:
         """Unpin a store payload, dropping its views first so the release
         finds none left; a view a reaction kept leaves the object cached."""
         if item.sealed is not None:
             item.payload = None
-            item.sealed.release()
+            self._unpin(item.sealed)
+
+    def _unpin(self, sealed: SealedObject) -> None:
+        """Release a pin.  A failed release fails the run once the caller's
+        bookkeeping is done, so the coordinator still counts the message."""
+        try:
+            sealed.release()
+        except (StoreError, OSError) as exc:
+            if self._fatal is None:
+                self._fatal = DeliveryError(
+                    f"{self.fid}: releasing object {sealed.oid.hex()[:12]}: {exc}"
+                )
 
     def _handle_violation(self, item: _Queued, lateness_ns: int) -> None:
         value = self._materialize(item)
@@ -814,7 +824,7 @@ class Federate:
         self._loop.close()
         if self._rti is not None:
             try:
-                self._rti.send_frame(Frame(FrameType.RESIGN, self._completed if self._completed.is_finite() else Tag(0, 0)))
+                self._rti.send_frame(Frame(FrameType.RESIGN, Tag(0, 0)))
             except (TransportError, OSError):
                 pass
             self._rti.close()

@@ -56,7 +56,6 @@ from hprm.loop import FrameLoop, Link
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Tag, bound_tag, delay_tag
 from hprm.topology import Topology
 from hprm.transport import (
-    ConnectionOptions,
     Frame,
     FrameConnection,
     FrameListener,
@@ -318,11 +317,9 @@ class RtiServer:
         host: str = "127.0.0.1",
         port: int = 0,
         startup_offset_ns: int = DEFAULT_STARTUP_OFFSET_NS,
-        options: ConnectionOptions | None = None,
     ):
         self.state = RtiState(topology, startup_offset_ns=startup_offset_ns)
-        self.options = options or ConnectionOptions()
-        self._listener: FrameListener | None = FrameListener(host, port, self.options)
+        self._listener: FrameListener | None = FrameListener(host, port)
         self._address = self._listener.address
         self._loop = FrameLoop()
         self._loop.accept_from(self._listener, self._accept)
@@ -510,7 +507,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--federates", type=int, default=None, help="expected federate count (sanity check)"
     )
-    parser.add_argument("--startup-offset-ms", type=float, default=100.0)
+    parser.add_argument("--startup-offset-ms", type=float, default=DEFAULT_STARTUP_OFFSET_NS / 1e6)
     parser.add_argument("--log-level", default="INFO")
     args = parser.parse_args(argv)
     logging.basicConfig(

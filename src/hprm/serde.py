@@ -92,10 +92,8 @@ class SerializedPayload:
     def total_bytes(self) -> int:
         """Size of the flat encoding (:func:`encode_payload`), padding
         included."""
-        end = _FIXED_HEADER + len(self.inband) + 8 * len(self.segments)
-        for seg in self.segments:
-            end += -end % SEGMENT_ALIGNMENT + memoryview(seg).nbytes
-        return end
+        header = _FIXED_HEADER + len(self.inband) + 8 * len(self.segments)
+        return _segment_offsets(header, self.segment_lengths)[1]
 
 
 def _encode_int(out: bytearray, x: int) -> None:
@@ -361,12 +359,12 @@ def encode_payload(payload: SerializedPayload) -> bytes:
     header = _header(payload, lens)
     if not lens:
         return header
+    offsets, _ = _segment_offsets(len(header), lens)
     parts = [header]
-    cursor = len(header)
-    for n, seg in zip(lens, payload.segments):
-        pad = -cursor % SEGMENT_ALIGNMENT
-        parts += (bytes(pad), seg)
-        cursor += pad + n
+    end = len(header)
+    for offset, n, seg in zip(offsets, lens, payload.segments):
+        parts += (bytes(offset - end), seg)
+        end = offset + n
     return b"".join(parts)
 
 

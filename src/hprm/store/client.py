@@ -254,8 +254,8 @@ class StoreClient:
             for stray in fds:
                 os.close(stray)
 
-    def create(self, size: int, oid: bytes | None = None) -> WritableObject:
-        oid = oid if oid is not None else random_object_id()
+    def create(self, size: int) -> WritableObject:
+        oid = random_object_id()
         value, _, fd = self._request(wire.Op.CREATE, oid, size, maps=True)
         return WritableObject(self, oid, value, fd)
 

@@ -21,6 +21,7 @@ least-recently-used and frees only what a create needs.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from enum import IntEnum
 
@@ -54,7 +55,6 @@ class _Entry:
     size: int
     sealed: bool = False
     refcount: int = 0
-    last_access: int = 0
     # Gets still expected before the object retires; None while unknown,
     # which leaves it cached until evicted.
     reads_left: int | None = None
@@ -72,9 +72,10 @@ class StoreState:
             raise ValueError("capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self.counters = StoreCounters()
-        self._entries: dict[bytes, _Entry] = {}
+        # Least recently used first: create inserts at the end, and seal
+        # and get move an entry there.
+        self._entries: OrderedDict[bytes, _Entry] = OrderedDict()
         self._occupancy = 0
-        self._tick = 0
 
     @property
     def occupancy(self) -> int:
@@ -97,10 +98,6 @@ class StoreState:
             return None
         return entry.size, entry.sealed, entry.refcount
 
-    def _touch(self, entry: _Entry) -> None:
-        self._tick += 1
-        entry.last_access = self._tick
-
     def create(self, oid: bytes, size: int) -> CreateResult:
         if size <= 0:
             return CreateResult(Status.BAD_REQUEST)
@@ -113,9 +110,7 @@ class StoreState:
             _, evicted = self.evict(size - self.free_bytes)
             if self.free_bytes < size:
                 return CreateResult(Status.STORE_FULL, evicted)
-        entry = _Entry(oid, size)
-        self._touch(entry)
-        self._entries[oid] = entry
+        self._entries[oid] = _Entry(oid, size)
         self._occupancy += size
         self.counters.creates += 1
         return CreateResult(Status.OK, evicted)
@@ -130,7 +125,7 @@ class StoreState:
             return Status.ALREADY_SEALED
         entry.sealed = True
         entry.reads_left = reads or None
-        self._touch(entry)
+        self._entries.move_to_end(oid)
         self.counters.seals += 1
         return Status.OK
 
@@ -144,7 +139,7 @@ class StoreState:
         entry.refcount += 1
         if entry.reads_left:
             entry.reads_left -= 1
-        self._touch(entry)
+        self._entries.move_to_end(oid)
         self.counters.gets += 1
         return Status.OK, entry.size
 
@@ -186,23 +181,17 @@ class StoreState:
         Returns (bytes freed, evicted ids); the caller owns reclaiming
         the ids' backing storage.
         """
-        candidates = sorted(
-            (
-                e
-                for e in self._entries.values()
-                if e.sealed and e.refcount == 0
-            ),
-            key=lambda e: e.last_access,
-        )
         freed = 0
         evicted: list[bytes] = []
-        for entry in candidates:
+        for entry in self._entries.values():
             if freed >= bytes_needed:
                 break
-            del self._entries[entry.oid]
-            self._occupancy -= entry.size
-            freed += entry.size
-            evicted.append(entry.oid)
+            if entry.sealed and entry.refcount == 0:
+                freed += entry.size
+                evicted.append(entry.oid)
+        for oid in evicted:
+            del self._entries[oid]
+        self._occupancy -= freed
         self.counters.evictions += len(evicted)
         self.counters.bytes_evicted += freed
         return freed, tuple(evicted)

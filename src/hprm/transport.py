@@ -22,7 +22,7 @@ reads only readable sockets never blocks on a partial frame.
 behind is moved to the buffer's start before the next read.  Frames
 larger than the buffer are rejected on both send and receive, so peers
 must agree on the buffer size (it is federation configuration, not a
-per-connection negotiation).
+per-connection negotiation; ``EAGER_BUFFER_BYTES`` unless configured).
 
 Sends never concatenate a body into a fresh buffer.  On a Unix socket a
 frame is one ``sendmsg([header, body])``; a partial write resends the
@@ -61,6 +61,8 @@ log = logging.getLogger(__name__)
 HEADER = struct.Struct("<BBqIII")
 HEADER_BYTES = HEADER.size  # 22
 MAX_BODY_BYTES = 2**31
+EAGER_BUFFER_BYTES = 65536  # default receive buffer, the largest frame
+CONNECT_TIMEOUT_S = 5.0  # longest wait of one connect attempt
 
 
 class FrameType(IntEnum):
@@ -102,9 +104,8 @@ class Frame:
 
 @dataclass(frozen=True)
 class ConnectionOptions:
-    eager_buffer_bytes: int = 65536
+    eager_buffer_bytes: int = EAGER_BUFFER_BYTES
     disable_coalescing: bool = True
-    connect_timeout: float = 5.0
 
     def __post_init__(self) -> None:
         if self.eager_buffer_bytes < 1024:
@@ -337,14 +338,13 @@ def connect(
     ``retry_for`` covers the rendezvous window where a peer's listener is
     known to be coming up but may not be bound yet.
     """
-    options = options or ConnectionOptions()
     unix = isinstance(address, str)
     deadline = time.monotonic() + retry_for
     while True:
         sock = socket.socket(
             socket.AF_UNIX if unix else socket.AF_INET, socket.SOCK_STREAM
         )
-        sock.settimeout(options.connect_timeout)
+        sock.settimeout(CONNECT_TIMEOUT_S)
         try:
             sock.connect(address if unix else tuple(address))
             return FrameConnection(sock, options)

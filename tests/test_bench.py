@@ -9,6 +9,8 @@ smallest sizes that still exercise the store path.
 """
 
 import ast
+import json
+import os
 import subprocess
 import sys
 import time
@@ -37,6 +39,8 @@ from hprm.bench.scenarios import (
     run_broadcast,
     run_ordering,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- latency records ---------------------------------------------------------
@@ -260,7 +264,7 @@ def test_write_delay_returns_positive_samples():
 def test_runtime_never_imports_the_bench():
     """Instrumentation stays out of the runtime: only ``hprm.bench`` itself
     may import ``hprm.bench``."""
-    src = Path(__file__).resolve().parent.parent / "src" / "hprm"
+    src = ROOT / "src" / "hprm"
     offenders = []
     for path in sorted(src.rglob("*.py")):
         if (src / "bench") in path.parents:
@@ -294,3 +298,48 @@ def test_address_read_gives_up_on_a_silent_child_at_its_deadline(tmp_path, monke
         _read_address(procs, "quiet", proc, "quiet listening on ")
     assert time.monotonic() - t0 < 2.0 + 1.0
     assert proc.poll() is not None  # and it was stopped
+
+
+# -- the runtime's contract with perfbench ------------------------------------
+
+
+def test_traced_perfbench_run_reaches_every_probe():
+    """A traced perfbench run calls the runtime through its probes: a
+    NET answered by a TAG_GRANT, ``ping_rtt`` against ``serve_echo``, and
+    ``Federate.schedule``.  Each must still answer, and the run pass."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "ordering-decentral",
+         "--seed", "1", "--seconds", "2", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=200,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    for name in ("rti.grant_rtt_us", "transport.ping_rtt_us", "federate.schedule_q1000_us"):
+        assert result["metrics"][name]["value"] > 0, name
+
+
+def test_perfbench_finds_every_runtime_name_it_wraps():
+    """perfbench's spans wrap runtime names from outside; a name it cannot
+    find reads as "not measured".  Only two are missing, each once:
+    ``payload_from_spans`` (``serde.layout``) and ``RtiState.handle_ltc``
+    (``rti.handle``), both long gone from the runtime."""
+    code = (
+        "import json, spans; t = spans.Tracer(); "
+        "spans.wrap_federate(t); spans.wrap_rti(t); print(json.dumps(t.missing))"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    missing = json.loads(proc.stdout)
+    assert set(missing) <= {"serde.layout", "rti.handle"}, missing
+    assert len(missing) == len(set(missing)), missing

@@ -1,8 +1,13 @@
 """Federate runtime tests: whole federations run in-process over loopback."""
 
+import os
+import socket
+import subprocess
+import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from hprm.federate import (
 )
 from hprm.rti import RtiServer, RtiState
 from hprm.store import StoreClient
+from hprm.store.client import REPLY_TIMEOUT_S
 from hprm.store.daemon import StoreDaemon
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Delay, Tag, bound_tag, delay_tag
 from hprm.topology import Connection, Topology
@@ -37,6 +43,7 @@ from hprm.transport import (
 )
 
 MS = 1_000_000
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # -- harness ----------------------------------------------------------------
@@ -51,19 +58,20 @@ def pipeline(*fids, delay=0):
     return Topology.build(fids, conns)
 
 
-def run_federation(topology, feds, setup=None, timeout=60.0, startup_ns=30 * MS):
+def start_federates(topology, feds, setup=None, startup_ns=30 * MS):
     """Start an in-process coordinator plus one thread per federate.
 
     ``setup(fed, start_tag)`` runs after the start handshake, before the
-    event loop.  Returns {fid: RunSummary-or-exception}.  The threads are
-    daemons, so a hung federate fails the assertion below instead of
-    keeping the test process alive.
+    event loop.  Returns the coordinator, the threads, and two dicts the
+    threads fill in as they end: {fid: RunSummary-or-exception} and {fid:
+    ``time.monotonic()`` at the end}.  The threads are daemons, so a hung
+    federate fails an assertion instead of keeping the test process alive.
     """
     rti = RtiServer(topology, host="127.0.0.1", port=0, startup_offset_ns=startup_ns)
     rti.start()
     for fed in feds:
         fed.config.rti_address = rti.address
-    results = {}
+    results, ended = {}, {}
 
     def runner(fed):
         try:
@@ -73,6 +81,7 @@ def run_federation(topology, feds, setup=None, timeout=60.0, startup_ns=30 * MS)
             results[fed.fid] = fed.run()
         except BaseException as exc:  # surfaced to the asserting test
             results[fed.fid] = exc
+        ended[fed.fid] = time.monotonic()
 
     threads = [
         threading.Thread(target=runner, args=(f,), name=f"run-{f.fid}", daemon=True)
@@ -80,6 +89,13 @@ def run_federation(topology, feds, setup=None, timeout=60.0, startup_ns=30 * MS)
     ]
     for t in threads:
         t.start()
+    return rti, threads, results, ended
+
+
+def run_federation(topology, feds, setup=None, timeout=60.0, startup_ns=30 * MS):
+    """:func:`start_federates`, then wait for every federate to end.
+    Returns {fid: RunSummary-or-exception}."""
+    rti, threads, results, _ = start_federates(topology, feds, setup, startup_ns)
     for t in threads:
         t.join(timeout=timeout)
     hung = [t.name for t in threads if t.is_alive()]
@@ -1416,3 +1432,119 @@ def test_fan_in_opens_one_store_session_per_federate(store, monkeypatch):
     assert len(sessions) == 3
     stats = store.state.stats()
     assert stats["creates"] == 10 and stats["gets"] == stats["releases"] == 10
+
+
+# -- losing a daemon mid-run ---------------------------------------------------
+
+
+def _join_by(threads, deadline):
+    for t in threads:
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    return [t.name for t in threads if t.is_alive()]
+
+
+def test_losing_the_coordinator_ends_every_run_with_an_error():
+    """The coordinator closes while a pub -> mid -> sub pipeline runs: no
+    federate hangs waiting for a grant or a stop, each run() raises."""
+    topo = pipeline("pub", "mid", "sub")
+    feds = [Federate(FederateConfig(fid=f), topo) for f in ("pub", "mid", "sub")]
+    pub, mid, sub = feds
+    handled = []
+    few = threading.Event()
+    pub.on("tick", lambda ctx: ctx.publish("out", ctx.value))
+    mid.on("in", lambda ctx: ctx.publish("out", ctx.value))
+
+    def collect(ctx):
+        handled.append(ctx.value)
+        if len(handled) == 5:
+            few.set()
+
+    sub.on("in", collect)
+    rti, threads, results, ended = start_federates(
+        topo, feds,
+        lambda f, s: schedule_ramp(f, s, 5000, period_ns=2 * MS)
+        if f.fid == "pub"
+        else None,
+    )
+    try:
+        assert few.wait(30), results
+        closed = time.monotonic()
+        rti.close()
+        hung = _join_by(threads, closed + 10)
+    finally:
+        rti.close()
+    assert not hung, f"federate threads hung: {hung}"
+    for fed in feds:
+        result = results[fed.fid]
+        assert isinstance(result, FederateError), (fed.fid, result)
+        assert "lost the coordination daemon" in str(result), (fed.fid, result)
+        assert ended[fed.fid] - closed < 10
+    assert len(handled) < 5000
+
+
+def test_killing_the_store_daemon_ends_the_run_in_bounded_time(tmp_path):
+    """SIGKILL the store daemon under a fan-out of 1 MiB payloads to two
+    subscribers: the publisher's next store write fails its run with a
+    DeliveryError, and every federate returns or raises within the
+    store's reply bound plus 10 s."""
+    sock = tmp_path / "store.sock"
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hprm.store.daemon", "--socket", str(sock),
+         "--capacity-bytes", str(64 * 2**20), "--log-level", "WARNING"],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    rti = None
+    try:
+        deadline = time.monotonic() + 15
+        while True:
+            try:
+                with socket.socket(socket.AF_UNIX) as probe:
+                    probe.connect(str(sock))
+                break
+            except OSError:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+        topo = Topology.build(
+            ["pub", "s1", "s2"],
+            [Connection("pub", "out", s, "in", Delay(0)) for s in ("s1", "s2")],
+        )
+        feds = [
+            Federate(FederateConfig(fid=f, store_path=str(sock)), topo)
+            for f in ("pub", "s1", "s2")
+        ]
+        pub, s1, s2 = feds
+        payload = np.ones(2**17)  # 1 MiB
+        handled = []
+        few = threading.Event()
+        pub.on("tick", lambda ctx: ctx.publish("out", payload))
+
+        def collect(ctx):
+            handled.append(ctx.tag)
+            if len(handled) == 5:
+                few.set()
+
+        s1.on("in", collect)
+        s2.on("in", lambda ctx: None)
+        rti, threads, results, ended = start_federates(
+            topo, feds,
+            lambda f, s: schedule_ramp(f, s, 2000, period_ns=5 * MS)
+            if f.fid == "pub"
+            else None,
+        )
+        assert few.wait(30), results
+        killed = time.monotonic()
+        proc.kill()
+        proc.wait(timeout=10)
+        hung = _join_by(threads, killed + REPLY_TIMEOUT_S + 10)
+    finally:
+        if rti is not None:
+            rti.close()
+        proc.kill()
+        proc.wait(timeout=10)
+    assert not hung, f"federate threads hung: {hung}"
+    assert isinstance(results["pub"], DeliveryError), results["pub"]
+    for fed in feds:
+        assert ended[fed.fid] - killed < REPLY_TIMEOUT_S + 10, (fed.fid, results)
+        # A subscriber either fails a get or release, or drains and stops.
+        assert isinstance(results[fed.fid], (DeliveryError, RunSummary)), results

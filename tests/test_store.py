@@ -425,11 +425,12 @@ def test_a_reply_that_never_comes_fails_and_closes_the_session(tmp_path, monkeyp
             peer.close()
 
 
-def test_duplicate_create_raises(store):
+def test_duplicate_create_raises(store, monkeypatch):
     with StoreClient(store.socket_path) as client:
         obj = client.create(64)
+        monkeypatch.setattr(store_client, "random_object_id", lambda: obj.oid)
         with pytest.raises(StoreError) as err:
-            client.create(64, oid=obj.oid)
+            client.create(64)
         assert err.value.status is Status.DUPLICATE_ID
         obj.close()
 
@@ -573,7 +574,7 @@ def store_process(tmp_path):
         proc.wait(timeout=10)
 
 
-def test_descriptors_are_closed_after_each_cycle(store_process):
+def test_descriptors_are_closed_after_each_cycle(store_process, monkeypatch):
     """Each idle mapping a session keeps holds one descriptor (``mmap``
     dups it): never more than the cache size per session, and none once
     the sessions are closed."""
@@ -593,8 +594,9 @@ def test_descriptors_are_closed_after_each_cycle(store_process):
                 assert sealed.view[:16].tobytes() == bytes([i]) * 16
             held = len(os.listdir("/proc/self/fd"))
             assert held <= opened + 2 * store_client.MAPPINGS_CACHED
+        monkeypatch.setattr(store_client, "random_object_id", lambda: obj.oid)
         with pytest.raises(StoreError):
-            writer.create(64, oid=obj.oid)
+            writer.create(64)  # a duplicate id
         with pytest.raises(StoreError, match="UNKNOWN_ID"):
             reader.get(random_object_id())
     assert len(os.listdir("/proc/self/fd")) == start
