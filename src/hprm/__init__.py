@@ -8,7 +8,7 @@ Subpackages and modules:
 * :mod:`hprm.transport` -- eager framed transport over Unix and TCP sockets.
 * :mod:`hprm.loop` -- the ``select`` loop that serves framed connections.
 * :mod:`hprm.store` -- shared-memory object store (daemon + client).
-* :mod:`hprm.rti` -- run-time coordination daemon (grants, start, stop).
+* :mod:`hprm.rti` -- run-time coordination daemon (start, promises, stop).
 * :mod:`hprm.federate` -- the federate runtime (queues, gates, reactions).
 * :mod:`hprm.bench` -- benchmark scenarios and the ``hprm-bench`` CLI.
 """

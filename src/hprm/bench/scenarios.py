@@ -11,7 +11,8 @@ runs in a spawned process.
 
 Modes:
 
-* ``centralized`` -- grant-based coordination, store-backed payloads.
+* ``centralized`` -- arrival-floor ordering, coordinator grants fencing
+  the stop, store-backed payloads.
 * ``decentralized`` -- clock-gated coordination, store-backed payloads.
 * ``copy-baseline`` -- clock-gated coordination with the object store
   disabled and the eager buffer raised, so every payload is copied

@@ -6,17 +6,18 @@ the *gate*: when the earliest queued event may be processed.
 
 Centralized mode gates each event at tag ``h`` on three conditions:
 
-* a grant from the coordination daemon covering ``h``,
+* the *arrival floor* being strictly past ``h``, which alone orders events,
 * the physical clock having reached ``h``'s timestamp, and
-* the *arrival floor* being strictly past ``h``.
+* a grant of at least ``h``, which fences the stop (see :mod:`hprm.rti`).
 
 The floor is the earliest tag that could still arrive, computed from
 per-upstream watermarks: every federate forwards its announcements down
 its data connections, and as the stream is FIFO, a watermark guarantees
 that all earlier-tagged data on that connection has been seen.  The
-strictness matters: a grant can equal an upstream bound, and data at
-that bound may still be in flight.  So processing an event out of order
-is structurally impossible, not merely unlikely.
+strictness matters: data may still arrive at the floor itself, an
+upstream's announcement plus the connection delay.  So processing an
+event out of order is structurally impossible, not merely unlikely (a
+Chandy-Misra null-message bound).
 
 Decentralized mode gates only on the physical clock: an event at tag
 ``h`` runs once ``now >= h.time + stp_offset``, the safe-to-process
@@ -369,6 +370,10 @@ class Federate:
             try:
                 conn.send_frame(frame)
             except (TransportError, OSError) as exc:
+                # Peers shut down when the coordinator goes: blame it if it has.
+                self._loop.poll(current)
+                if self._fatal is not None:
+                    raise self._fatal from exc
                 raise DeliveryError(f"sending to {edge.dst!r}: {exc}") from exc
             self.messages_sent += 1
             delivered += 1

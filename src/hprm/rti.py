@@ -5,36 +5,36 @@ One daemon process tracks, per federate, three monotone tags:
 * *announced* -- the earliest tag at which the federate might still
   produce an event (its NET report).  ``FOREVER`` means "nothing, ever,
   unless something arrives first"; ``NEVER`` means "not reported yet".
-* *granted* -- the largest tag the daemon has authorized the federate to
-  advance to (TAG_GRANT frames).
+* *granted* -- the largest announcement answered with a TAG_GRANT.
 * *completed* -- the largest tag the federate has finished.  It rides
   in the body of each NET report rather than in a frame of its own: no
   grant depends on it, only the stop tag does.
 
-A federate may be granted tag G when no upstream federate can still emit
-an event with tag <= G.  Each upstream announcement bounds that
-federate's future output from below by the connection delay, so::
-
-    grant(f) = min( delay(announced(u), d) for each in-edge (u -> f, d) )
-    capped at announced(f)      -- never grant past what was asked for
-
-Grants are emitted only when they move the federate strictly forward.
-Federates with no inputs are granted exactly what they announce.
-Resigned federates are fail-stopped: they are treated as if they had
-announced ``FOREVER``, so their downstream peers are not wedged.
+The daemon orders no events: each federate's arrival floor does (see
+:mod:`hprm.federate`), so the daemon reads only the roster of its
+topology.  A finite announcement above the federate's last grant is
+granted exactly, to that federate alone; ``FOREVER`` and resigning get
+no grant.  A grant of ``h`` says the daemon has recorded the promise of
+``h``, and that orders a stop: a federate runs ``h`` only once granted,
+and the stop tag is picked past every recorded announcement.  A grant
+sent after the pick is queued behind the STOP on the same FIFO
+connection, so no federate runs past the stop tag.
 
 Shutdown: every announcement doubles as a quiescence report carrying a
 queue-empty flag, cumulative sent/received message counts and the last
-completed tag.  The federation has drained exactly when every live
-federate reports an empty queue and the global sent and received totals
-agree (the daemon keeps both totals as running sums) -- a message still
-in flight always leaves the totals unequal, and a federate that went
-busy again after reporting empty must first have received such a
-message.  (Announcements alone cannot detect this: around a cycle with
-positive delay, empty-queue federates keep ratcheting their
-announcements upward by the cycle delay forever, never reaching
-``FOREVER``.)  On quiescence, or on an explicit stop request, the daemon
-broadcasts a stop tag one microstep past the latest reported activity.
+completed tag.  The federation has drained when every live federate
+reports an empty queue, the global sent and received totals agree (the
+daemon keeps both as running sums), and every announcement is past every
+completed tag.  Reports are read at different times, so the totals can
+balance a message still in flight against one sent by a federate that
+went busy again after its report.  But it went busy on input at or past
+its announcement, so the receiver that ran what it sent completed a tag
+past that announcement.  (Announcements alone cannot detect quiescence:
+around a cycle with positive delay, empty-queue federates keep
+ratcheting their announcements upward by the cycle delay forever, never
+reaching ``FOREVER``.)  On quiescence, or on an explicit stop request,
+the daemon broadcasts a stop tag one microstep past the latest reported
+activity.
 
 :class:`RtiServer` serves the listener and every federate connection
 from one :class:`~hprm.loop.FrameLoop` on one thread.  It listens on
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from hprm.loop import FrameLoop, Link
-from hprm.tags import FOREVER, NEVER, NO_DELAY, Tag, bound_tag, delay_tag
+from hprm.tags import FOREVER, NEVER, NO_DELAY, Tag, delay_tag
 from hprm.topology import Topology
 from hprm.transport import (
     Frame,
@@ -117,12 +117,6 @@ class FederateRecord:
 
 
 @dataclass(frozen=True)
-class Grant:
-    fid: str
-    tag: Tag
-
-
-@dataclass(frozen=True)
 class StartInfo:
     start_tag: Tag
     addresses: dict[str, tuple[str, int] | str]
@@ -136,16 +130,6 @@ class RtiState:
         self.startup_offset_ns = startup_offset_ns
         self.phase = Phase.REGISTERING
         self.records = {fid: FederateRecord(fid) for fid in topology.federates}
-        # Fixed by the topology, so worked out once: each federate's input
-        # edges, and whom a change in its announcement may unblock.
-        self._inputs = {fid: topology.inputs_of(fid) for fid in topology.federates}
-        self._downstream = {
-            fid: topology.downstream_ids(fid) for fid in topology.federates
-        }
-        self._net_targets = {
-            fid: tuple(dict.fromkeys((fid, *self._downstream[fid])))
-            for fid in topology.federates
-        }
         self._sent_total = 0  # sums of the records' counters, for autostop
         self._received_total = 0
         self.start_tag: Tag | None = None
@@ -183,29 +167,7 @@ class RtiState:
             {fid: r.address for fid, r in self.records.items()},
         )
 
-    # -- grants ---------------------------------------------------------------
-
-    def grant_bound(self, fid: str) -> Tag:
-        """Earliest tag an upstream federate might still deliver to fid."""
-        bound = FOREVER
-        for edge in self._inputs[fid]:
-            upstream = self.records[edge.src]
-            if upstream.resigned:
-                continue  # fail-stopped: sends nothing further
-            bound = min(bound, bound_tag(upstream.announced, edge.delay))
-        return bound
-
-    def _emit_grants(self, fids) -> list[Grant]:
-        grants = []
-        for fid in fids:
-            record = self.records[fid]
-            if record.resigned or not record.announced.is_finite():
-                continue  # nothing requested, or nobody to tell
-            grant = min(self.grant_bound(fid), record.announced)
-            if grant > record.granted:
-                record.granted = grant
-                grants.append(Grant(fid, grant))
-        return grants
+    # -- announcements ---------------------------------------------------------
 
     def handle_net(
         self,
@@ -216,9 +178,10 @@ class RtiState:
         sent: int = 0,
         received: int = 0,
         completed: Tag = NEVER,
-    ) -> list[Grant]:
+    ) -> list[Tag]:
         """An announcement, with the quiescence report and the last
-        completed tag (``NEVER``: none yet) riding along."""
+        completed tag (``NEVER``: none yet) riding along.  Returns the
+        grant it earns, ``[tag]``, or ``[]``."""
         record = self._record(fid)
         if record.resigned:
             raise RtiProtocolError(f"{fid!r} announced after resigning")
@@ -246,31 +209,29 @@ class RtiState:
         record.sent_count = sent
         record.received_count = received
         record.completed = completed
-        return self._emit_grants(self._net_targets[fid])
-
-    def handle_resign(self, fid: str) -> list[Grant]:
-        record = self._record(fid)
-        if record.resigned:
+        if not tag.is_finite() or tag <= record.granted:
             return []
+        record.granted = tag
+        return [tag]
+
+    def handle_resign(self, fid: str) -> None:
+        record = self._record(fid)
         record.resigned = True
         record.announced = FOREVER
-        return self._emit_grants(self._downstream[fid])
 
     # -- shutdown -----------------------------------------------------------------
 
     def autostop_ready(self) -> bool:
-        """True when the federation is provably quiescent.
-
-        Every live federate must have reported an empty queue, and the
-        cumulative sent/received totals must agree so that nothing is in
-        flight.  ``FOREVER`` announcements imply an empty queue too.
-        """
+        """True when the federation is provably quiescent (see the module
+        docstring).  ``FOREVER`` announcements, resigning included, imply
+        an empty queue."""
         if self.phase is not Phase.RUNNING:
             return False
         if self._sent_total != self._received_total:
             return False
+        latest = max(r.completed for r in self.records.values())
         return all(
-            r.resigned or r.reported_empty or r.announced == FOREVER
+            (r.reported_empty or r.announced == FOREVER) and r.announced > latest
             for r in self.records.values()
         )
 
@@ -349,10 +310,6 @@ class RtiServer:
         except (TransportError, OSError):
             log.warning("lost connection to %s while sending", fid)
 
-    def _send_grants(self, grants) -> None:
-        for grant in grants:
-            self._send(grant.fid, Frame(FrameType.TAG_GRANT, grant.tag))
-
     def _broadcast_stop(self, stop_tag: Tag) -> None:
         if self._stop_broadcast:
             return
@@ -388,16 +345,15 @@ class RtiServer:
     def _handle(self, fid: str, frame: Frame) -> None:
         if frame.type == FrameType.NET:
             empty, sent, received, completed = decode_progress(frame.body)
-            self._send_grants(
-                self.state.handle_net(
-                    fid,
-                    frame.tag,
-                    queue_empty=empty,
-                    sent=sent,
-                    received=received,
-                    completed=completed,
-                )
-            )
+            for grant in self.state.handle_net(
+                fid,
+                frame.tag,
+                queue_empty=empty,
+                sent=sent,
+                received=received,
+                completed=completed,
+            ):
+                self._send(fid, Frame(FrameType.TAG_GRANT, grant))
             self._maybe_autostop()
         elif frame.type == FrameType.STOP:
             stop = self.state.request_stop(frame.tag if frame.tag.is_finite() else None)
@@ -427,7 +383,7 @@ class RtiServer:
         self._loop.unwatch(link.conn)
         self._sessions.discard(link)
         if link.peer is not None:
-            self._send_grants(self.state.handle_resign(link.peer))
+            self.state.handle_resign(link.peer)
             self._maybe_autostop()
             self._conns.pop(link.peer, None)
         link.conn.close()

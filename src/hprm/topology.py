@@ -3,9 +3,9 @@
 A :class:`Topology` is the static wiring of a federation.  Connections are
 directed edges ``(src federate, src port) -> (dst federate, dst port)``
 carrying a logical :class:`~hprm.tags.Delay`.  The same structure is shared
-by the coordination daemon (to compute grant bounds) and by federates (to
-route published values), so it can be serialized to JSON and passed around
-as a file.
+by the coordination daemon (for its roster) and by federates (to route
+published values and bound what can still arrive), so it can be serialized
+to JSON and passed around as a file.
 
 Validation rejects graphs the runtime cannot execute: connections that
 reference unknown federates and cycles whose total logical delay is zero
@@ -102,9 +102,6 @@ class Topology:
 
     def outputs_of(self, federate: str) -> tuple[Connection, ...]:
         return tuple(self._out_edges.get(federate, ()))
-
-    def downstream_ids(self, federate: str) -> tuple[str, ...]:
-        return tuple(sorted({c.dst for c in self.outputs_of(federate)}))
 
     def port_number(self, federate: str, port: str) -> int:
         """Numeric id of a destination endpoint, for frame headers."""

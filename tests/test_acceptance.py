@@ -202,9 +202,10 @@ def test_c7_store_write_delay_at_most_half_baseline():
 
 
 def test_c8_property_suites_all_green():
-    """Total-order laws for tags, delay arithmetic monotonicity, grant
-    safety under randomized federation schedules, serde round-trip
-    identity, frame codec identity, and the store lifecycle model."""
+    """Total-order laws for tags, delay arithmetic monotonicity, ordering
+    safety of the arrival floor under randomized federation schedules
+    and FIFO delays, serde round-trip identity, frame codec identity, and
+    the store lifecycle model."""
     files = [
         "tests/test_tags.py",
         "tests/test_rti.py",

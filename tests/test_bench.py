@@ -303,12 +303,16 @@ def test_address_read_gives_up_on_a_silent_child_at_its_deadline(tmp_path, monke
 # -- the runtime's contract with perfbench ------------------------------------
 
 
-def test_traced_perfbench_run_reaches_every_probe():
+@pytest.mark.parametrize("workload", ["ordering-decentral", "ordering-central"])
+def test_traced_perfbench_run_reaches_every_probe(workload):
     """A traced perfbench run calls the runtime through its probes: a
     NET answered by a TAG_GRANT, ``ping_rtt`` against ``serve_echo``, and
-    ``Federate.schedule``.  Each must still answer, and the run pass."""
+    ``Federate.schedule``.  Each must still answer, and the run pass.  The
+    centralized run also feeds live announcements to the wrapped
+    ``RtiState.handle_net``, whose result the tracer measures with
+    ``len()``."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "ordering-decentral",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "2", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
@@ -318,7 +322,10 @@ def test_traced_perfbench_run_reaches_every_probe():
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    for name in ("rti.grant_rtt_us", "transport.ping_rtt_us", "federate.schedule_q1000_us"):
+    names = ["rti.grant_rtt_us", "transport.ping_rtt_us", "federate.schedule_q1000_us"]
+    if workload == "ordering-central":
+        names += ["rti.grants_per_msg", "transport.control_frames_per_msg"]
+    for name in names:
         assert result["metrics"][name]["value"] > 0, name
 
 

@@ -781,6 +781,52 @@ def test_explicit_stop_truncates_remaining_events():
     assert 5 <= len(got) <= 8, got  # stop lands a hair after the request
 
 
+def test_grants_keep_a_running_ahead_publisher_within_the_stop_tag(monkeypatch):
+    """The subscriber asks for the stop while a 20 us publisher runs far
+    ahead of it, and the coordinator lags behind both.  A grant is the
+    coordinator's record of the publisher's promise, and the stop tag is
+    picked past every recorded promise: the publisher runs no tag past
+    it, and all it sent is received."""
+    handle_net = RtiState.handle_net
+
+    def lagging(self, *args, **kwargs):
+        time.sleep(0.0005)  # a loaded coordinator reads announcements late
+        return handle_net(self, *args, **kwargs)
+
+    monkeypatch.setattr(RtiState, "handle_net", lagging)
+    topo = pipeline("pub", "sub")
+    pub = Federate(FederateConfig(fid="pub"), topo)
+    sub = Federate(FederateConfig(fid="sub"), topo)
+    ticks = []
+
+    def tick(ctx):
+        ticks.append(ctx.tag)
+        ctx.publish("out", ctx.value)
+
+    def slow(ctx):
+        if ctx.value < 20:
+            time.sleep(0.002)  # the publisher runs ahead meanwhile
+        elif ctx.value == 20:
+            ctx.federate.request_stop()
+
+    pub.on("tick", tick)
+    sub.on("in", slow)
+    n = 20_000
+    results = run_federation(
+        topo, [pub, sub],
+        lambda f, s: schedule_ramp(f, s, n, period_ns=20_000)
+        if f.fid == "pub"
+        else None,
+    )
+    assert isinstance(results["pub"], RunSummary), results["pub"]
+    assert isinstance(results["sub"], RunSummary), results["sub"]
+    stop = results["pub"].stop_tag
+    assert stop is not None and results["sub"].stop_tag == stop
+    assert 20 < len(ticks) < n
+    assert max(ticks) <= stop, (max(ticks), stop)
+    assert pub.messages_sent == sub.messages_received
+
+
 # -- decentralized federations ----------------------------------------------
 
 
@@ -1441,6 +1487,54 @@ def _join_by(threads, deadline):
     for t in threads:
         t.join(timeout=max(0.0, deadline - time.monotonic()))
     return [t.name for t in threads if t.is_alive()]
+
+
+class _Gone:
+    """Stands in for a connection whose peer has closed."""
+
+    def send_frame(self, frame):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("coordinator", ["alive", "gone"])
+def test_a_failed_peer_send_is_blamed_on_a_lost_coordinator(coordinator):
+    """Peers shut down when the coordinator goes, so a send may fail on a
+    peer that read the coordinator's close first.  If the coordinator's
+    close is readable, the publish reports that; a peer that vanished on
+    its own is a DeliveryError."""
+    topo = pipeline("pub", "sub")
+    pub = Federate(FederateConfig(fid="pub"), topo)
+    ours, theirs = socket.socketpair()
+    pub._rti = FrameConnection(ours)
+    pub._loop.watch(pub._rti, pub._from_rti)
+    pub._peers_out["sub"] = _Gone()
+    if coordinator == "gone":
+        theirs.close()
+    errors = []
+
+    def tick(ctx):
+        try:
+            ctx.publish("out", 1)
+        except FederateError as exc:
+            errors.append(exc)
+
+    pub.on("tick", tick)
+    pub.schedule(Tag(MS, 0), "tick")
+    try:
+        pub._execute_batch(pub._pop_batch())
+    finally:
+        pub._rti.close()
+        theirs.close()
+    [error] = errors
+    if coordinator == "alive":
+        assert isinstance(error, DeliveryError), error
+        assert "sending to 'sub'" in str(error)
+    else:
+        assert not isinstance(error, DeliveryError), error
+        assert "lost the coordination daemon" in str(error)
 
 
 def test_losing_the_coordinator_ends_every_run_with_an_error():

@@ -44,7 +44,6 @@ def test_build_and_indexes():
     assert [c.dst for c in t.outputs_of("pub")] == ["sub1", "sub2"]
     assert [c.src for c in t.inputs_of("sub1")] == ["pub"]
     assert t.inputs_of("pub") == ()
-    assert t.downstream_ids("pub") == ("sub1", "sub2")
 
 
 def test_port_numbering_is_deterministic_and_invertible():
