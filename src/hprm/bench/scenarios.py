@@ -11,8 +11,8 @@ runs in a spawned process.
 
 Modes:
 
-* ``centralized`` -- arrival-floor ordering, coordinator grants fencing
-  the stop, store-backed payloads.
+* ``centralized`` -- arrival-floor ordering, a two-phase stop,
+  store-backed payloads.
 * ``decentralized`` -- clock-gated coordination, store-backed payloads.
 * ``copy-baseline`` -- clock-gated coordination with the object store
   disabled and the eager buffer raised, so every payload is copied
@@ -46,9 +46,16 @@ from hprm.serde import (
 )
 from hprm.store import StoreClient
 from hprm.store.daemon import DEFAULT_CAPACITY
-from hprm.tags import Delay
+from hprm.tags import Delay, Tag
 from hprm.topology import Connection, Topology
-from hprm.transport import EAGER_BUFFER_BYTES, ConnectionOptions, connect, ping_rtt
+from hprm.transport import (
+    EAGER_BUFFER_BYTES,
+    ConnectionOptions,
+    Frame,
+    FrameConnection,
+    FrameType,
+    connect,
+)
 
 MB = 1 << 20
 MODES = ("centralized", "decentralized", "copy-baseline")
@@ -574,10 +581,32 @@ def _ping_once(procs: _Procs, name: str, disable_coalescing: bool, count: int):
     options = ConnectionOptions(disable_coalescing=disable_coalescing)
     conn = connect(address, options, retry_for=5.0)
     try:
-        rtts = ping_rtt(conn, count, payload_bytes=64, warmup=min(50, count // 10 + 1))
+        rtts = _message_rtt(conn, count, warmup=min(50, count // 10 + 1))
     finally:
         conn.close()
     return rtts
+
+
+def _message_rtt(conn: FrameConnection, count: int, warmup: int) -> list[int]:
+    """Round trips, in ns, of what a publisher sends per message: a
+    64-byte message and then the NET that lets its receiver run it, timed
+    until the echo worker returns the NET.  Each is one write, so with
+    coalescing on the NET waits in the kernel for the message's ACK, which
+    the receiver delays as it has nothing to send yet."""
+    samples = []
+    body = bytes(64)
+    for seq in range(warmup + count):
+        net = Frame(FrameType.NET, Tag(seq, 1))
+        start = time.perf_counter_ns()
+        conn.send_frame(Frame(FrameType.TAGGED_MSG, Tag(seq, 0), 1, body))
+        conn.send_frame(net)
+        reply = conn.recv_frame()
+        elapsed = time.perf_counter_ns() - start
+        if reply != net:
+            raise BenchError(f"expected {net} back, got {reply}")
+        if seq >= warmup:
+            samples.append(elapsed)
+    return samples
 
 
 def run_ping(cfg: BenchConfig) -> ScenarioResult:

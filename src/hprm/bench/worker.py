@@ -14,7 +14,9 @@ Roles:
 * ``sub`` -- checks tag order and each publisher's sequence, stamps
   when every publisher's copy of a sequence number has been handled,
   and counts late arrivals.
-* ``echo`` -- a bare frame echo server for ping/coalescing runs.
+* ``echo`` -- for the coalescing runs: returns each NET, and nothing
+  for the message frame before it, as a subscriber runs a message only
+  once the announcement behind it is in.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from hprm.clock import MonotonicClock
 from hprm.federate import Federate, FederateConfig
 from hprm.tags import Tag
 from hprm.topology import Topology
-from hprm.transport import ConnectionOptions, FrameListener, listen, serve_echo
+from hprm.transport import ConnectionOptions, FrameListener, FrameType, listen
 
 
 def _options(cfg: dict) -> ConnectionOptions:
@@ -154,7 +156,10 @@ def run_echo(cfg: dict) -> dict:
     host, port = listener.address
     print(f"echo listening on {host}:{port}", flush=True)
     conn = listener.accept()
-    serve_echo(conn)
+    while (frame := conn.recv_frame()) is not None:
+        if frame.type == FrameType.NET:
+            conn.send_frame(frame)
+    conn.close()
     return {"summary": {"status": "completed"}}
 
 

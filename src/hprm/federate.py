@@ -4,16 +4,13 @@ A federate owns a priority queue of tagged events and runs reactions
 over them strictly in tag order.  The two coordination modes differ in
 the *gate*: when the earliest queued event may be processed.
 
-Centralized mode gates each event at tag ``h`` on three conditions:
-
-* the *arrival floor* being strictly past ``h``, which alone orders events,
-* the physical clock having reached ``h``'s timestamp, and
-* a grant of at least ``h``, which fences the stop (see :mod:`hprm.rti`).
-
-The floor is the earliest tag that could still arrive, computed from
-per-upstream watermarks: every federate forwards its announcements down
-its data connections, and as the stream is FIFO, a watermark guarantees
-that all earlier-tagged data on that connection has been seen.  The
+Centralized mode gates each event at tag ``h`` on two conditions: the
+*arrival floor* being strictly past ``h``, which alone orders events,
+and the physical clock having reached ``h``'s timestamp.  The floor is
+the earliest tag that could still arrive, computed from per-upstream
+watermarks: every federate forwards its announcements down its data
+connections, and as the stream is FIFO, a watermark guarantees that all
+earlier-tagged data on that connection has been seen.  The
 strictness matters: data may still arrive at the floor itself, an
 upstream's announcement plus the connection delay.  So processing an
 event out of order is structurally impossible, not merely unlikely (a
@@ -26,11 +23,14 @@ network latency), a message can arrive for a tag already processed.
 Such arrivals are *detected* -- counted and handed to the violation
 handler or dropped -- never silently processed out of order.
 
-Announcements double as promises: a federate reports the minimum of its
-queue head and its arrival floor (and, while mid-tag, the tag being
-executed, whose reactions may still publish), so every report is
-monotone even though arrivals can land ahead of the queue head.  Each
-report to the coordinator also carries the last completed tag.
+Announcements double as promises: a federate announces the minimum of
+its queue head and its arrival floor (and, while mid-tag, the tag being
+executed, whose reactions may still publish), so every announcement is
+monotone even though arrivals can land ahead of the queue head.  Peers
+get each one; the coordinator gets only those made while idle, and
+nothing waits on the TAG_GRANT it answers with (see :mod:`hprm.rti`).
+The stop takes two phases: asked for the largest tag it has started, a
+federate replies and starts nothing past it until the stop tag arrives.
 
 One event loop on the thread that calls :meth:`Federate.run` serves the
 listener, the coordinator and every peer; the gate's wait is its
@@ -38,14 +38,14 @@ listener, the coordinator and every peer; the gate's wait is its
 what is ready, so input for an earlier tag runs first.  Frames are
 queued as read and dispatched in that order, between reactions or while
 a publish waits for acknowledgements.  While the head waits for the
-clock or a grant, and as the loop reads just before it runs, data for
-later tags stays queued unless input for the head's tag or an earlier
-one was read after it (see :mod:`hprm.loop`), so a slow reader does not
-pin store objects far ahead of the events it runs.  A send that fills a peer's socket buffer
-keeps reading until the rest fits, so peers that send each other large
-frames never wait on each other.  Peers on one host use Unix sockets,
-other peers and the coordinator TCP.  Only ``request_stop`` may be
-called from another thread.
+clock, and as the loop reads just before it runs, data for later tags
+stays queued unless input for the head's tag or an earlier one was read
+after it (see :mod:`hprm.loop`), so a slow reader does not pin store
+objects far ahead of the events it runs.  A send that fills a peer's
+socket buffer keeps reading until the rest fits, so peers that send
+each other large frames never wait on each other.  Peers on one host
+use Unix sockets, other peers and the coordinator TCP.  Only
+``request_stop`` may be called from another thread.
 
 Physical time comes only from the ``clock`` and inbound connections only
 from the ``listener``, both constructor seams: tests drive the gates
@@ -60,13 +60,13 @@ import heapq
 import json
 import logging
 import os
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from hprm.clock import Clock, MonotonicClock
 from hprm.loop import FrameLoop, Link
-from hprm.rti import encode_progress
 from hprm.serde import (
     SerializedPayload,
     build_layout,
@@ -87,6 +87,7 @@ from hprm.transport import (
     FrameType,
     TransportError,
     connect,
+    encode_progress,
     listen,
 )
 
@@ -101,6 +102,10 @@ OBJ_WINDOW = 4
 
 # How long start() retries refused connects while peers' listeners come up.
 CONNECT_RETRY_S = 10.0
+
+# How long a failed send to a peer waits for the coordinator's connection
+# to end, which would explain it, before blaming the peer.
+COORDINATOR_LOSS_WAIT_S = 1.0
 
 
 class FederateError(Exception):
@@ -239,13 +244,14 @@ class Federate:
         self._seq = 0
         self._watermarks: dict[str, Tag] = {}
         self._floor_of: tuple[tuple, Tag] = ((), FOREVER)  # see _floor
-        self._granted = NEVER
         self._current = NEVER
         self._completed = NEVER
         self._executing = False
+        self._stop_reply: Tag | None = None  # sent: start nothing past it
         self._stop_tag: Tag | None = None
         self._drain_deadline_ns: int | None = None
-        self._announced: Tag | None = None
+        self._announced: Tag | None = None  # to peers
+        self._reported: Tag | None = None  # to the coordinator
         self._fatal: BaseException | None = None
         self._violations: deque[tuple[_Queued, int]] = deque()
         self._started = False
@@ -371,7 +377,9 @@ class Federate:
                 conn.send_frame(frame)
             except (TransportError, OSError) as exc:
                 # Peers shut down when the coordinator goes: blame it if it has.
-                self._loop.poll(current)
+                deadline = time.monotonic() + COORDINATOR_LOSS_WAIT_S
+                while self._fatal is None and (left := deadline - time.monotonic()) > 0:
+                    self._loop.serve(left, current)
                 if self._fatal is not None:
                     raise self._fatal from exc
                 raise DeliveryError(f"sending to {edge.dst!r}: {exc}") from exc
@@ -462,10 +470,16 @@ class Federate:
             if self._stop_tag is None and not self._finished:
                 # The coordinator vanished mid-run; stop where we are.
                 self._fatal = FederateError("lost the coordination daemon")
-        elif item.type == FrameType.TAG_GRANT:
-            self._granted = max(self._granted, item.tag)
-        elif item.type == FrameType.STOP:
+        elif item.type == FrameType.STOP and item.tag != FOREVER:
             self._stop_tag = item.tag
+        elif item.type == FrameType.STOP and self._stop_reply is None:
+            # The stop round asks for the largest tag started; past it,
+            # nothing starts until the stop tag arrives (see _head).
+            self._stop_reply = self._current
+            try:
+                self._rti.send_frame(Frame(FrameType.STOP, self._current))
+            except (TransportError, OSError):
+                pass  # the coordinator counts a closed session as a reply
 
     def _from_downstream(self, link: Link, item: Frame | BaseException | None) -> None:
         if not isinstance(item, Frame):
@@ -588,30 +602,36 @@ class Federate:
         return promise
 
     def _report_progress(self, force: bool = False) -> None:
+        """Announce a moved promise to the peers, and report to the
+        coordinator while idle if the promise moved since its last report,
+        or if ``force``."""
         if self.config.mode != CENTRALIZED or not self._started or self._finished:
             return
         promise = self._promise()
-        if not force and promise == self._announced:
-            return
-        if self._announced is not None and promise < self._announced:
-            raise FederateError(
-                f"promise regressed {self._announced!r} -> {promise!r}"
-            )
-        self._announced = promise
-        empty = not self._queue and not self._executing and not self._violations
+        if promise != self._announced:
+            if self._announced is not None and promise < self._announced:
+                raise FederateError(
+                    f"promise regressed {self._announced!r} -> {promise!r}"
+                )
+            self._announced = promise
+            for conn in self._peers_out.values():
+                try:
+                    conn.send_frame(Frame(FrameType.NET, promise))
+                except (TransportError, OSError):
+                    pass
+        idle = not self._queue and not self._executing and not self._violations
+        if force or (idle and promise != self._reported):
+            self._reported = promise
+            self._report(promise, idle)
+
+    def _report(self, promise: Tag, idle: bool) -> None:
         body = encode_progress(
-            empty, self.messages_sent, self.messages_received, self._completed
+            idle, self.messages_sent, self.messages_received, self._completed
         )
-        frame = Frame(FrameType.NET, promise, body=body)
         try:
-            self._rti.send_frame(frame)
+            self._rti.send_frame(Frame(FrameType.NET, promise, body=body))
         except (TransportError, OSError):
             pass
-        for conn in self._peers_out.values():
-            try:
-                conn.send_frame(Frame(FrameType.NET, promise))
-            except (TransportError, OSError):
-                pass
 
     # -- the executor ---------------------------------------------------------------------
 
@@ -620,8 +640,6 @@ class Federate:
 
         0 means "blocked until input arrives"."""
         if self.config.mode == CENTRALIZED:
-            if self._granted < head.tag:
-                return 0
             if self._floor() <= head.tag:
                 return 0
             due = head.tag.time
@@ -634,6 +652,17 @@ class Federate:
         if now_ns < due:
             return due - now_ns
         return None
+
+    def _head(self) -> _Queued | None:
+        """The earliest queued event, unless the stop holds it back: past
+        the stop reply until the stop tag arrives, and past the stop tag."""
+        if not self._queue:
+            return None
+        head = self._queue[0]
+        limit = self._stop_reply if self._stop_tag is None else self._stop_tag
+        if limit is not None and head.tag > limit:
+            return None
+        return head
 
     def _pop_batch(self) -> list[_Queued]:
         tag = self._queue[0].tag
@@ -664,11 +693,9 @@ class Federate:
                 if self._violations:
                     self._handle_violation(*self._violations.popleft())
                     continue
-                head = self._queue[0] if self._queue else None
+                head = self._head()
                 timeout = hold = None
-                if self._stop_tag is not None and (
-                    head is None or head.tag > self._stop_tag
-                ):
+                if self._stop_tag is not None and head is None:
                     # Drained, but a peer's last message may be in flight:
                     # halt once the floor clears the stop tag.  A halting
                     # federate closes its connections (FOREVER after the
@@ -708,8 +735,8 @@ class Federate:
                     if wait_ns:
                         timeout = wait_ns / 1e9
                     if self.config.mode == DECENTRALIZED or self._floor() > head.tag:
-                        # It waits for the clock or a grant, which no held
-                        # frame brings: data for later tags waits too.
+                        # It waits for the clock, which no held frame
+                        # brings: data for later tags waits too.
                         hold = head.tag
                 else:
                     self._drain_deadline_ns = None
@@ -811,11 +838,11 @@ class Federate:
     # -- shutdown ----------------------------------------------------------------------------
 
     def request_stop(self) -> None:
-        """Ask the coordinator to wind the federation down.  Any thread
-        may call this."""
-        at = self._current if self._current.is_finite() else self.start_tag
+        """Ask the coordinator to wind the federation down: it opens the
+        stop round, which this federate answers like every other.  Any
+        thread may call this."""
         try:
-            self._rti.send_frame(Frame(FrameType.STOP, at or Tag(0, 0)))
+            self._rti.send_frame(Frame(FrameType.STOP, FOREVER))
         except (TransportError, OSError):
             pass
 
@@ -828,6 +855,9 @@ class Federate:
         self._pinned_bytes = 0
         self._loop.close()
         if self._rti is not None:
+            if self.config.mode == CENTRALIZED and self._started:
+                # The last counts: what arrived and never ran is received.
+                self._report(FOREVER, True)
             try:
                 self._rti.send_frame(Frame(FrameType.RESIGN, Tag(0, 0)))
             except (TransportError, OSError):

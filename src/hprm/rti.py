@@ -1,44 +1,67 @@
-"""Run-time coordination: registration, tag grants, and shutdown.
+"""Run-time coordination: registration, progress reports, and shutdown.
 
 One daemon process tracks, per federate, three monotone tags:
 
 * *announced* -- the earliest tag at which the federate might still
   produce an event (its NET report).  ``FOREVER`` means "nothing, ever,
   unless something arrives first"; ``NEVER`` means "not reported yet".
-* *granted* -- the largest announcement answered with a TAG_GRANT.
-* *completed* -- the largest tag the federate has finished.  It rides
-  in the body of each NET report rather than in a frame of its own: no
-  grant depends on it, only the stop tag does.
+* *granted* -- the largest announcement acknowledged with a TAG_GRANT.
+* *completed* -- the largest tag the federate has reported finished.  It
+  rides in the body of each NET report rather than in a frame of its own.
 
 The daemon orders no events: each federate's arrival floor does (see
 :mod:`hprm.federate`), so the daemon reads only the roster of its
-topology.  A finite announcement above the federate's last grant is
-granted exactly, to that federate alone; ``FOREVER`` and resigning get
-no grant.  A grant of ``h`` says the daemon has recorded the promise of
-``h``, and that orders a stop: a federate runs ``h`` only once granted,
-and the stop tag is picked past every recorded announcement.  A grant
-sent after the pick is queued behind the STOP on the same FIFO
-connection, so no federate runs past the stop tag.
+topology.  A federate reports to the daemon only while idle (empty
+queue, no reaction running, no pending violation): once on going idle,
+and again whenever its promise moves while idle, besides a forced
+report at start, on a lost message and at resignation.  A finite
+announcement above the federate's last grant is acknowledged with a
+TAG_GRANT of exactly that tag, to that federate alone; ``FOREVER`` and
+resigning get none.  No federate waits on a grant: it is kept for the
+benchmark's round-trip probe.
 
-Shutdown: every announcement doubles as a quiescence report carrying a
+Shutdown is a two-phase stop (Lohstroh et al., "Toward a Lingua Franca
+for Deterministic Concurrent Systems", ACM TECS 2021), the same for an
+explicit request and for autostop.  A STOP at ``FOREVER`` asks for a
+stop: from a federate (:meth:`hprm.federate.Federate.request_stop`) it
+makes the daemon open the stop round, and the daemon sends it to every
+live federate.  Each replies with a STOP carrying the largest tag it has
+started, and from then on starts nothing past it.  Once every live
+federate has replied (a session that has ended counts as having
+replied), the daemon broadcasts a STOP at the stop tag, one microstep
+past the largest reply and every completed tag.  So no federate starts a
+tag past the stop tag, and each runs what is queued up to it.  A session
+that ends without RESIGN (a federate killed, or cut off for breaking the
+protocol) opens the round too: that federate's last counts never came,
+so autostop might never fire.
+
+Autostop: every report doubles as a quiescence report carrying a
 queue-empty flag, cumulative sent/received message counts and the last
-completed tag.  The federation has drained when every live federate
-reports an empty queue, the global sent and received totals agree (the
-daemon keeps both as running sums), and every announcement is past every
-completed tag.  Reports are read at different times, so the totals can
-balance a message still in flight against one sent by a federate that
-went busy again after its report.  But it went busy on input at or past
-its announcement, so the receiver that ran what it sent completed a tag
-past that announcement.  (Announcements alone cannot detect quiescence:
-around a cycle with positive delay, empty-queue federates keep
-ratcheting their announcements upward by the cycle delay forever, never
-reaching ``FOREVER``.)  On quiescence, or on an explicit stop request,
-the daemon broadcasts a stop tag one microstep past the latest reported
-activity.
+completed tag.  The federation has drained when every live federate's
+last report says it was idle, the global sent and received totals agree
+(the daemon keeps both as running sums), and every announcement is past
+every completed tag.  Reports are read at different times, and a
+federate that went busy again reports nothing until it is idle again,
+so a record can be stale.  Its federate left idleness on input at or
+past the announcement it reported, and all it sent since is tagged past
+that announcement.  So a message counted received but not sent (sent
+after its sender's report) was run by a receiver that reports only while
+idle, whose completed tag is then past the sender's announcement: the
+last clause rules that out.  The totals then balance only if every
+message counted sent was counted received, and so no message is in
+flight and no federate busy.  The earliest departure from idleness after
+a report would have been on a message counted sent but not received,
+and a message in flight was either counted sent or sent after such a
+departure.  (Announcements alone cannot detect quiescence: around a
+cycle with positive delay, empty-queue federates keep ratcheting their
+announcements upward by the cycle delay forever, never reaching
+``FOREVER``.)  This is counting-based termination detection (Mattern,
+"Algorithms for Distributed Termination Detection", Distributed
+Computing 2(3), 1987); on quiescence the daemon runs the stop round.
 
 :class:`RtiServer` serves the listener and every federate connection
 from one :class:`~hprm.loop.FrameLoop` on one thread.  It listens on
-TCP, and each send is the transport's two blocking writes.
+TCP, and each send is the transport's one blocking ``sendmsg``.
 """
 
 from __future__ import annotations
@@ -56,11 +79,13 @@ from hprm.loop import FrameLoop, Link
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Tag, delay_tag
 from hprm.topology import Topology
 from hprm.transport import (
+    PROGRESS,
     Frame,
     FrameConnection,
     FrameListener,
     FrameType,
     TransportError,
+    encode_progress,  # re-exported for whoever sends this daemon NETs
 )
 
 log = logging.getLogger(__name__)
@@ -72,24 +97,12 @@ class RtiProtocolError(Exception):
     """A federate broke the coordination protocol's rules."""
 
 
-_PROGRESS = struct.Struct("<BQQqI")
-
-
-def encode_progress(
-    queue_empty: bool, sent: int, received: int, completed: Tag = NEVER
-) -> bytes:
-    """NET frame body: the quiescence report and the last completed tag,
-    riding along with the announcement."""
-    return _PROGRESS.pack(
-        1 if queue_empty else 0, sent, received, completed.time, completed.microstep
-    )
-
-
 def decode_progress(body: bytes) -> tuple[bool, int, int, Tag]:
+    """A NET's body (see :func:`hprm.transport.encode_progress`)."""
     if not body:
         return False, 0, 0, NEVER
     try:
-        empty, sent, received, time, microstep = _PROGRESS.unpack_from(body)
+        empty, sent, received, time, microstep = PROGRESS.unpack_from(body)
         return bool(empty), sent, received, Tag(time, microstep)
     except (struct.error, ValueError) as exc:
         raise RtiProtocolError(f"malformed progress report: {exc}") from None
@@ -111,6 +124,7 @@ class FederateRecord:
     announced: Tag = NEVER
     granted: Tag = NEVER
     completed: Tag = NEVER
+    stop_reply: Tag | None = None  # the largest tag started, once asked
     reported_empty: bool = False
     sent_count: int = 0
     received_count: int = 0
@@ -134,7 +148,7 @@ class RtiState:
         self._received_total = 0
         self.start_tag: Tag | None = None
         self._stop_tag: Tag | None = None
-        self._stop_pending = False
+        self._stop_pending = False  # requested while still registering
 
     def _record(self, fid: str) -> FederateRecord:
         record = self.records.get(fid)
@@ -181,7 +195,8 @@ class RtiState:
     ) -> list[Tag]:
         """An announcement, with the quiescence report and the last
         completed tag (``NEVER``: none yet) riding along.  Returns the
-        grant it earns, ``[tag]``, or ``[]``."""
+        grant it earns, ``[tag]``, or ``[]``.  A federate runs ahead of
+        its grants, so its completed tag may pass them."""
         record = self._record(fid)
         if record.resigned:
             raise RtiProtocolError(f"{fid!r} announced after resigning")
@@ -193,10 +208,6 @@ class RtiState:
             )
         if sent < record.sent_count or received < record.received_count:
             raise RtiProtocolError(f"{fid!r} message counters went backwards")
-        if completed > record.granted:
-            raise RtiProtocolError(
-                f"{fid!r} completed {completed!r} beyond its grant {record.granted!r}"
-            )
         if completed < record.completed:
             raise RtiProtocolError(
                 f"{fid!r} completion went backwards: "
@@ -215,9 +226,35 @@ class RtiState:
         return [tag]
 
     def handle_resign(self, fid: str) -> None:
+        """A session ended; it counts as a reply to the stop round."""
         record = self._record(fid)
         record.resigned = True
         record.announced = FOREVER
+
+    def handle_frame(self, fid: str, frame: Frame) -> list[tuple[str, Frame]]:
+        """A NET or STOP from ``fid`` after its JOIN.  Returns the frames it
+        answers with, each with the federate it goes to: a grant, or the
+        stop round's requests (see also :meth:`advance`)."""
+        if frame.type == FrameType.NET:
+            empty, sent, received, completed = decode_progress(frame.body)
+            grants = self.handle_net(
+                fid,
+                frame.tag,
+                queue_empty=empty,
+                sent=sent,
+                received=received,
+                completed=completed,
+            )
+            return [(fid, Frame(FrameType.TAG_GRANT, tag)) for tag in grants]
+        if frame.type == FrameType.STOP:
+            if frame.tag == FOREVER:
+                return self.request_stop()
+            record = self._record(fid)
+            if self.phase is not Phase.STOPPING or record.stop_reply is not None:
+                raise RtiProtocolError(f"{fid!r} replied to no stop request")
+            record.stop_reply = frame.tag
+            return []
+        raise RtiProtocolError(f"{fid!r} sent unexpected {FrameType(frame.type).name}")
 
     # -- shutdown -----------------------------------------------------------------
 
@@ -235,30 +272,47 @@ class RtiState:
             for r in self.records.values()
         )
 
-    def request_stop(self, at: Tag | None = None) -> Tag | None:
-        """Explicit stop; deferred until start if still registering."""
+    def request_stop(self) -> list[tuple[str, Frame]]:
+        """Open the stop round: returns a STOP at ``FOREVER`` for every
+        live federate, which asks it for the largest tag it has started.
+        Deferred until start while registering; nothing once open."""
         if self.phase is Phase.REGISTERING:
             self._stop_pending = True
-            return None
-        return self.initiate_stop(at)
+            return []
+        if self.phase is not Phase.RUNNING:
+            return []
+        self.phase = Phase.STOPPING
+        ask = Frame(FrameType.STOP, FOREVER)
+        return [(fid, ask) for fid, r in self.records.items() if not r.resigned]
 
     def pending_stop(self) -> bool:
         return self._stop_pending
 
-    def initiate_stop(self, at: Tag | None = None) -> Tag:
-        """Pick the stop tag: one microstep past the latest known activity."""
-        if self._stop_tag is not None:
-            return self._stop_tag
-        candidates = [self.start_tag if self.start_tag is not None else Tag(0, 0)]
-        for record in self.records.values():
-            for tag in (record.announced, record.completed):
-                if tag.is_finite():
-                    candidates.append(tag)
-        if at is not None and at.is_finite():
-            candidates.append(at)
-        self._stop_tag = delay_tag(max(candidates), NO_DELAY)
-        self.phase = Phase.STOPPING
-        log.info("stop tag %r", self._stop_tag)
+    def advance(self) -> list[tuple[str, Frame]]:
+        """What the last report, reply or resignation calls for: opening
+        the stop round on quiescence, or, once every live federate has
+        replied, broadcasting the stop tag."""
+        if self.autostop_ready():
+            return self.request_stop()
+        if self.phase is not Phase.STOPPING or self._stop_tag is not None:
+            return []
+        if any(r.stop_reply is None and not r.resigned for r in self.records.values()):
+            return []
+        stop = Frame(FrameType.STOP, self.initiate_stop())
+        return [(fid, stop) for fid, r in self.records.items() if not r.resigned]
+
+    def initiate_stop(self) -> Tag:
+        """Pick the stop tag: one microstep past the start tag, every reply
+        and every completed tag."""
+        if self._stop_tag is None:
+            latest = self.start_tag if self.start_tag is not None else Tag(0, 0)
+            for record in self.records.values():
+                for tag in (record.stop_reply, record.completed):
+                    if tag is not None and tag.is_finite():
+                        latest = max(latest, tag)
+            self._stop_tag = delay_tag(latest, NO_DELAY)
+            self.phase = Phase.STOPPING
+            log.info("stop tag %r", self._stop_tag)
         return self._stop_tag
 
 
@@ -293,7 +347,6 @@ class RtiServer:
         self._thread: threading.Thread | None = None
         self._served = False
         self._closing = False
-        self._stop_broadcast = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -310,16 +363,9 @@ class RtiServer:
         except (TransportError, OSError):
             log.warning("lost connection to %s while sending", fid)
 
-    def _broadcast_stop(self, stop_tag: Tag) -> None:
-        if self._stop_broadcast:
-            return
-        self._stop_broadcast = True
-        for fid in list(self._conns):
-            self._send(fid, Frame(FrameType.STOP, stop_tag))
-
-    def _maybe_autostop(self) -> None:
-        if not self._stop_broadcast and self.state.autostop_ready():
-            self._broadcast_stop(self.state.initiate_stop())
+    def _send_all(self, frames: list[tuple[str, Frame]]) -> None:
+        for fid, frame in frames:
+            self._send(fid, frame)
 
     # -- per-federate frames ----------------------------------------------------
 
@@ -339,30 +385,9 @@ class RtiServer:
                     Frame(FrameType.START, start.start_tag, body=payload),
                 )
             if self.state.pending_stop():
-                self._broadcast_stop(self.state.initiate_stop())
+                self._send_all(self.state.request_stop())
+                self._send_all(self.state.advance())
         return fid
-
-    def _handle(self, fid: str, frame: Frame) -> None:
-        if frame.type == FrameType.NET:
-            empty, sent, received, completed = decode_progress(frame.body)
-            for grant in self.state.handle_net(
-                fid,
-                frame.tag,
-                queue_empty=empty,
-                sent=sent,
-                received=received,
-                completed=completed,
-            ):
-                self._send(fid, Frame(FrameType.TAG_GRANT, grant))
-            self._maybe_autostop()
-        elif frame.type == FrameType.STOP:
-            stop = self.state.request_stop(frame.tag if frame.tag.is_finite() else None)
-            if stop is not None:
-                self._broadcast_stop(stop)
-        else:
-            raise RtiProtocolError(
-                f"{fid!r} sent unexpected {FrameType(frame.type).name}"
-            )
 
     def _from_federate(self, link: Link, item) -> None:
         """One frame of a session, or its end; the session ends at RESIGN,
@@ -373,7 +398,8 @@ class RtiServer:
                 if link.peer is not None:
                     return
             elif isinstance(item, Frame) and item.type != FrameType.RESIGN:
-                self._handle(link.peer, item)
+                self._send_all(self.state.handle_frame(link.peer, item))
+                self._send_all(self.state.advance())
                 return
         except (RtiProtocolError, ValueError, KeyError) as exc:
             log.error("federate %s violated the protocol: %s", link.peer, exc)
@@ -383,9 +409,12 @@ class RtiServer:
         self._loop.unwatch(link.conn)
         self._sessions.discard(link)
         if link.peer is not None:
-            self.state.handle_resign(link.peer)
-            self._maybe_autostop()
             self._conns.pop(link.peer, None)
+            self.state.handle_resign(link.peer)
+            if not (isinstance(item, Frame) and item.type == FrameType.RESIGN):
+                # Its last counts never came, so autostop might never fire.
+                self._send_all(self.state.request_stop())
+            self._send_all(self.state.advance())
         link.conn.close()
 
     def _accept(self, conn: FrameConnection) -> Link:

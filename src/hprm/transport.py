@@ -24,17 +24,17 @@ larger than the buffer are rejected on both send and receive, so peers
 must agree on the buffer size (it is federation configuration, not a
 per-connection negotiation; ``EAGER_BUFFER_BYTES`` unless configured).
 
-Sends never concatenate a body into a fresh buffer.  On a Unix socket a
-frame is one ``sendmsg([header, body])``; a partial write resends the
-rest.  TCP writes the header and the body as two ``sendmsg`` calls.  A
-connection whose ``wait_writable`` is set writes without blocking on
-either family and calls it whenever the socket buffer is full, so an
-event loop can keep reading while a large frame drains; otherwise each
-write blocks until the kernel takes all of it.  With packet coalescing
-left on, the kernel may hold the small header write back waiting for an ACK,
-which is catastrophic for request/response latency (the bench's ping
-scenario measures exactly this); ``ConnectionOptions.disable_coalescing``
-(default on) sets TCP_NODELAY.
+Sends never concatenate a body into a fresh buffer.  On either socket
+family a frame is one ``sendmsg([header, body])``, which returns at once
+when it wrote everything; a partial write resends the rest.  A
+connection whose ``wait_writable`` is set writes without blocking and
+calls it whenever the socket buffer is full, so an event loop can keep
+reading while a large frame drains; otherwise the write blocks until the
+kernel takes all of it.  With packet coalescing left on, the kernel
+holds a small frame back while an earlier one is unacknowledged, so a
+message's NET waits for the receiver's delayed ACK: catastrophic for
+latency (the bench's ping scenario measures exactly this);
+``ConnectionOptions.disable_coalescing`` (default on) sets TCP_NODELAY.
 
 Addresses come in two shapes: ``(host, port)`` for TCP, and a string for
 a Unix socket.  :func:`listen` gives a loopback host an autobound
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
 
-from hprm.tags import Tag
+from hprm.tags import NEVER, Tag
 
 log = logging.getLogger(__name__)
 
@@ -69,8 +69,8 @@ class FrameType(IntEnum):
     JOIN = 1
     START = 2
     NET = 3          # earliest possible future event announcement
-    TAG_GRANT = 5
-    STOP = 6
+    TAG_GRANT = 5    # acknowledges a NET; nothing waits on it
+    STOP = 6         # at FOREVER asks for a stop, else answers or fixes it
     RESIGN = 7
     TAGGED_MSG = 8   # inline payload
     OBJ_REF = 9      # payload resident in the object store
@@ -139,6 +139,19 @@ def decode_header(buf, offset: int = 0) -> tuple[int, int, Tag, int, int]:
     return ftype, flags, tag, port, body_len
 
 
+# The body of a NET to the coordinator: queue-empty flag, messages sent
+# and received, and the last completed tag (see hprm.rti).
+PROGRESS = struct.Struct("<BQQqI")
+
+
+def encode_progress(
+    queue_empty: bool, sent: int, received: int, completed: Tag = NEVER
+) -> bytes:
+    return PROGRESS.pack(
+        1 if queue_empty else 0, sent, received, completed.time, completed.microstep
+    )
+
+
 class FrameConnection:
     """One framed byte stream over a connected socket.
 
@@ -150,8 +163,7 @@ class FrameConnection:
     def __init__(self, sock: socket.socket, options: ConnectionOptions | None = None):
         self.options = options or ConnectionOptions()
         self._sock = sock
-        self._unix = sock.family == socket.AF_UNIX
-        if self.options.disable_coalescing and not self._unix:
+        if self.options.disable_coalescing and sock.family != socket.AF_UNIX:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(None)
         self._send_lock = threading.Lock()
@@ -174,17 +186,13 @@ class FrameConnection:
                 f"{self.options.eager_buffer_bytes}-byte buffer contract"
             )
         header = encode_header(frame)
+        pending = [header, frame.body] if frame.body else [header]
         with self._send_lock:
-            if self._unix:
-                self._sendmsg([header, frame.body] if frame.body else [header])
-            else:
-                self._sendmsg([header])
-                if frame.body:
-                    self._sendmsg([frame.body])
+            self._sendmsg(pending, HEADER_BYTES + len(frame.body))
 
-    def _sendmsg(self, pending: list) -> None:
-        """Write ``pending`` with one ``sendmsg`` per attempt, dropping what
-        each attempt wrote, until nothing is left."""
+    def _sendmsg(self, pending: list, size: int) -> None:
+        """Write the ``size`` bytes of ``pending`` with one ``sendmsg`` per
+        attempt, dropping what each attempt wrote, until nothing is left."""
         wait = self.wait_writable
         flags = 0 if wait is None else socket.MSG_DONTWAIT
         while True:
@@ -192,10 +200,11 @@ class FrameConnection:
                 sent = self._sock.sendmsg(pending, (), flags)
             except BlockingIOError:
                 sent = 0
-            while pending and sent >= len(pending[0]):
-                sent -= len(pending.pop(0))
-            if not pending:
+            if sent == size:
                 return
+            size -= sent
+            while sent >= len(pending[0]):
+                sent -= len(pending.pop(0))
             pending[0] = memoryview(pending[0])[sent:]
             if wait is not None:
                 wait()

@@ -1,16 +1,19 @@
-"""Coordination rules: registration, grant emission, shutdown.
+"""Coordination rules: registration, grant emission, the stop round.
 
-The coordinator grants each federate its own finite announcement, to it
-alone; ordering is left to each federate's arrival floor.  The two
-randomized simulations at the bottom are the safety net.  Both run whole
-federations (random DAGs and delayed cycles, random event sets) against
-RtiState, and assert after every step that no federate ever receives an
-event at or below a tag it already processed (ordering safety) and that
-the federation always drains (deadlock freedom).  The first delivers
-every announcement atomically and checks each grant against the
-federate's own announcement.  The second runs real federates over FIFO
-links that carry data and announcements with random delays, so the
-arrival floor alone must hold each tag back until its input is in.
+The coordinator acknowledges each federate's finite announcement with a
+grant of it, to it alone; ordering is left to each federate's arrival
+floor, and the stop takes two phases.  The two randomized simulations at
+the bottom are the safety net.  Both run whole federations (random DAGs
+and delayed cycles, random event sets) against RtiState, and assert
+after every step that no federate ever receives an event at or below a
+tag it already processed (ordering safety) and that the federation
+always drains (deadlock freedom).  The first delivers every announcement
+atomically and checks each grant against the federate's own
+announcement.  The second runs real federates over FIFO links that carry
+data and announcements with random delays, so the arrival floor alone
+must hold each tag back until its input is in; the federates report to
+the coordinator only while idle, and the coordinator runs the stop round
+on a request at a random step or on autostop.
 """
 
 import heapq
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from hprm.clock import ManualClock
 from hprm.federate import Federate, FederateConfig
+from hprm.loop import Link
 from hprm.rti import (
     Phase,
     RtiProtocolError,
@@ -142,13 +146,14 @@ def test_net_regression_rejected():
         state.handle_net("a", NEVER)
 
 
-def test_completion_beyond_grant_rejected():
+def test_completion_may_pass_the_grant():
+    """Federates run ahead of their grants, and report only while idle:
+    a completed tag past the last grant is accepted."""
     state = make_state([], ["a"])
     join_all(state)
     state.handle_net("a", Tag(100, 0))  # grants (100, 0)
-    with pytest.raises(RtiProtocolError):
-        state.handle_net("a", Tag(300, 0), completed=Tag(200, 0))
-    assert state.records["a"].announced == Tag(100, 0)  # rejected whole
+    assert state.handle_net("a", Tag(300, 0), completed=Tag(200, 0)) == [Tag(300, 0)]
+    assert state.records["a"].completed == Tag(200, 0)
 
 
 def test_completion_is_monotone_and_idempotent():
@@ -274,15 +279,66 @@ def test_counter_regression_rejected():
         state.handle_net("a", Tag(20, 0), queue_empty=False, sent=4, received=2)
 
 
+ASK = Frame(FrameType.STOP, FOREVER)
+
+
 def test_stop_requested_before_start_is_deferred():
     state = make_state([], ["a", "b"])
     state.register("a", 0, ("h", 1))
-    assert state.request_stop() is None
+    assert state.request_stop() == []
     assert state.pending_stop()
     state.register("b", 0, ("h", 2))
-    stop = state.request_stop()
-    assert stop is not None
-    assert stop > state.start_tag
+    assert state.request_stop() == [("a", ASK), ("b", ASK)]
+    assert state.handle_frame("a", Frame(FrameType.STOP, NEVER)) == []
+    assert state.advance() == []  # b has not replied
+    assert state.handle_frame("b", Frame(FrameType.STOP, NEVER)) == []
+    stop = Frame(FrameType.STOP, delay_tag(state.start_tag, NO_DELAY))
+    assert state.advance() == [("a", stop), ("b", stop)]
+    assert state.advance() == []
+
+
+def test_stop_round_waits_for_every_live_reply():
+    """A STOP at FOREVER opens the round, which asks every live federate;
+    the stop tag goes out once each has replied or resigned, one
+    microstep past every reply and every completed tag."""
+    state = make_state([], ["a", "b", "c"])
+    join_all(state)
+    state.handle_net("c", Tag(900, 0))
+    state.handle_net("c", FOREVER, completed=Tag(700, 0))
+    assert state.handle_frame("a", ASK) == [("a", ASK), ("b", ASK), ("c", ASK)]
+    assert state.handle_frame("b", ASK) == []  # the round is open already
+    assert state.handle_frame("a", Frame(FrameType.STOP, Tag(500, 3))) == []
+    with pytest.raises(RtiProtocolError):
+        state.handle_frame("a", Frame(FrameType.STOP, Tag(500, 3)))  # replied twice
+    assert state.handle_frame("c", Frame(FrameType.STOP, Tag(600, 0))) == []
+    assert state.advance() == []
+    state.handle_resign("b")
+    stop = Frame(FrameType.STOP, Tag(700, 1))
+    assert state.advance() == [("a", stop), ("c", stop)]
+    assert state.initiate_stop() == Tag(700, 1)
+
+
+def test_a_reply_without_a_stop_round_is_rejected():
+    state = make_state([], ["a"])
+    join_all(state)
+    with pytest.raises(RtiProtocolError):
+        state.handle_frame("a", Frame(FrameType.STOP, Tag(5, 0)))
+    with pytest.raises(RtiProtocolError):
+        state.handle_frame("a", Frame(FrameType.RESIGN, Tag(0, 0)))
+
+
+def test_autostop_opens_the_stop_round():
+    state = make_state([], ["a", "b"])
+    join_all(state)
+    state.handle_net("a", Tag(10, 0))
+    body = encode_progress(True, 0, 0, Tag(10, 0))
+    assert state.handle_frame("a", Frame(FrameType.NET, FOREVER, body=body)) == []
+    assert state.advance() == []
+    grant = ("b", Frame(FrameType.TAG_GRANT, Tag(20, 0)))
+    assert state.handle_frame("b", Frame(FrameType.NET, Tag(20, 0), body=body)) == [grant]
+    assert state.advance() == [("a", ASK), ("b", ASK)]
+    assert state.phase is Phase.STOPPING
+    assert state.advance() == []
 
 
 # -- the socket front end -----------------------------------------------------------
@@ -401,9 +457,7 @@ def run_federation_simulation(topology, initial_events, seed):
         return [
             f
             for f in feds.values()
-            if f.queue
-            and f.granted >= f.queue[0]
-            and _floor(f, state, start_tag) > f.queue[0]
+            if f.queue and _floor(f, state, start_tag) > f.queue[0]
         ]
 
     def flush_until_ready():
@@ -510,33 +564,36 @@ def test_random_federations_run_safely_to_completion(case):
 
 
 class _Fifo(deque):
-    """One direction of a connection: frames in the order sent."""
+    """One direction of a connection: frames in the order sent, then None
+    once it is closed."""
 
     send_frame = deque.append
 
+    def close(self):
+        self.append(None)
 
-#: A run that takes more steps than this to drain has stalled.
+
+#: A run that takes more steps than this to halt has stalled.
 _FIFO_STEP_BOUND = 50_000
 
 
-def run_fifo_federation(topology, initial_events, seed, *, grants):
+def run_fifo_federation(topology, initial_events, seed, *, stop_at=None):
     """Run real centralized federates, wired by in-memory FIFO links,
-    until the coordinator's autostop, delivering the head of a randomly
-    chosen link at each step.
+    until every one has halted, delivering the head of a randomly chosen
+    link at each step.
 
     Each pair of peers shares one link for data and announcements, and
     each federate has one link to the coordinator (an RtiState) and one
-    back.  With ``grants`` false every federate starts granted
-    ``FOREVER``, so the arrival floor is all that holds a tag back.
-    Returns the number of events run."""
+    back.  A random federate requests a stop at step ``stop_at``; with
+    None the federation runs until the coordinator's autostop.  Returns
+    the number of events run."""
     rng = random.Random(seed)
     state = RtiState(topology, startup_offset_ns=0)
     join_all(state)
     clock = ManualClock(FOREVER.time)  # the clock never gates
-    feds, links, to_rti, from_rti = {}, {}, {}, {}
+    feds, links, ends, to_rti, from_rti = {}, {}, {}, {}, {}
     counts = {"created": 0, "ran": 0}
     executed = {fid: [] for fid in topology.federates}
-    stop = None
 
     for fid in topology.federates:
         fed = Federate(FederateConfig(fid=fid), topology, clock=clock)
@@ -547,8 +604,7 @@ def run_fifo_federation(topology, initial_events, seed, *, grants):
             fed._watermarks[src] = state.start_tag
         for dst in fed._downstream:
             fed._peers_out[dst] = links[fid, dst] = _Fifo()
-        if not grants:
-            fed._granted = FOREVER
+            ends[fid, dst] = Link(None, None, peer=fid)  # as dst reads it
         outs = sorted({c.src_port for c in fed._out_edges})
         published = [NEVER]
 
@@ -571,10 +627,17 @@ def run_fifo_federation(topology, initial_events, seed, *, grants):
     for fed in feds.values():
         fed._report_progress(force=True)
 
+    def stop_tag():
+        return state._stop_tag
+
     def runnable(fed):
-        return bool(fed._queue) and (
-            fed._gate_wait_ns(fed._queue[0], clock.now_ns()) is None
-        )
+        head = fed._head()
+        return head is not None and fed._gate_wait_ns(head, clock.now_ns()) is None
+
+    def halting(fed):
+        # What Federate.run checks before it halts.
+        stop = fed._stop_tag
+        return stop is not None and fed._head() is None and fed._floor() > stop
 
     def run(fed):
         fed._execute_batch(fed._pop_batch())
@@ -582,47 +645,70 @@ def run_fifo_federation(topology, initial_events, seed, *, grants):
             assert fed._current > executed[fed.fid][-1], "processing went backwards"
         executed[fed.fid].append(fed._current)
 
+    def halt(fed):
+        fed._shutdown("completed")  # RESIGN, then every link closes
+
+    def in_flight():
+        return [
+            f for link in links.values() for f in link
+            if f is not None and f.type == FrameType.TAGGED_MSG
+        ]
+
     def at_coordinator(fid, frame):
-        nonlocal stop
-        empty, sent, received, completed = decode_progress(frame.body)
-        for grant in state.handle_net(
-            fid, frame.tag, queue_empty=empty, sent=sent, received=received,
-            completed=completed,
-        ):
-            from_rti[fid].send_frame(Frame(FrameType.TAG_GRANT, grant))
-        if state.autostop_ready():
-            in_flight = sum(
-                f.type == FrameType.TAGGED_MSG
-                for link in links.values() for f in link
-            )
-            assert not in_flight, f"autostop with {in_flight} messages in flight"
+        if frame is None or state.records[fid].resigned:
+            return  # the session has ended
+        if frame.type == FrameType.RESIGN:
+            state.handle_resign(fid)
+            out = []
+        else:
+            out = state.handle_frame(fid, frame)
+        running = state.phase is Phase.RUNNING
+        out += state.advance()
+        if running and state.phase is not Phase.RUNNING:
+            flying = in_flight()
+            assert not flying, f"autostop with {len(flying)} messages in flight"
             busy = [f.fid for f in feds.values() if f._queue]
             assert not busy, f"autostop while {busy} still hold events"
-            stop = state.initiate_stop()
+        for dst, reply in out:
+            from_rti[dst].send_frame(reply)
+
+    def at_federate(fid, frame):
+        if not feds[fid]._finished:
+            feds[fid]._from_rti(None, frame)
 
     def at_peer(src, dst, frame):
         fed = feds[dst]
-        if frame.type == FrameType.TAGGED_MSG:
+        if fed._finished:
+            assert frame is None or frame.type != FrameType.TAGGED_MSG or (
+                frame.tag > stop_tag()
+            ), f"{dst} halted before its message at {frame.tag!r}"
+            return
+        if frame is not None and frame.type == FrameType.TAGGED_MSG:
             assert frame.tag > fed._current, (
                 f"{dst} got data at {frame.tag!r} after running {fed._current!r}"
             )
-        fed._dispatch_peer_frame(None, src, frame)
+        fed._from_upstream(ends[src, dst], frame)
 
     steps = 0
-    while stop is None:
+    while not all(fed._finished for fed in feds.values()):
+        if steps == stop_at:
+            rng.choice([f for f in feds.values() if not f._finished]).request_stop()
         actions = [
             (at_peer, key, link) for key, link in links.items() if link
         ] + [
             (at_coordinator, (fid,), link) for fid, link in to_rti.items() if link
         ] + [
-            (feds[fid]._from_rti, (None,), link)
-            for fid, link in from_rti.items() if link
+            (at_federate, (fid,), link) for fid, link in from_rti.items() if link
         ] + [
-            (run, (fed,), None) for fed in feds.values() if runnable(fed)
+            (run, (fed,), None)
+            for fed in feds.values() if not fed._finished and runnable(fed)
+        ] + [
+            (halt, (fed,), None)
+            for fed in feds.values() if not fed._finished and halting(fed)
         ]
         assert actions, "deadlock: events remain but nothing can move"
         steps += 1
-        assert steps <= _FIFO_STEP_BOUND, f"no autostop within {steps} steps"
+        assert steps <= _FIFO_STEP_BOUND, f"no halt within {steps} steps"
         handle, args, link = rng.choice(actions)
         if link is None:
             handle(*args)
@@ -632,15 +718,22 @@ def run_fifo_federation(topology, initial_events, seed, *, grants):
             if fed._fatal is not None:
                 raise fed._fatal
 
-    assert counts["ran"] == counts["created"], "an event never ran"
+    stop = stop_tag()
+    assert all(fed._stop_tag == stop for fed in feds.values())
     for fid, tags in executed.items():
-        assert all(t < stop for t in tags), (fid, tags, stop)
+        assert all(t <= stop for t in tags), (fid, tags, stop)
+    late = [f.tag for f in in_flight() if f.tag <= stop]
+    assert not late, f"messages at {late} never received"
+    if stop_at is None:
+        assert counts["ran"] == counts["created"], "an event never ran"
     return counts["ran"]
 
 
-@pytest.mark.parametrize("grants", [True, False], ids=["granted", "floor-only"])
-@given(case=federation_cases())
-@settings(max_examples=120, deadline=None)
-def test_arrival_floor_alone_orders_events_over_fifo_links(grants, case):
+@pytest.mark.parametrize("stop", ["requested", "autostop"])
+@given(case=federation_cases(), step=st.integers(0, 300))
+@settings(max_examples=400, deadline=None)
+def test_arrival_floor_alone_orders_events_over_fifo_links(stop, case, step):
     topology, initial, seed = case
-    assert run_fifo_federation(topology, initial, seed, grants=grants) > 0
+    stop_at = step if stop == "requested" else None
+    ran = run_fifo_federation(topology, initial, seed, stop_at=stop_at)
+    assert ran > 0 or stop_at is not None

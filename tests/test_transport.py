@@ -264,6 +264,7 @@ class _CountingSocket:
         # Each buffer recv_into filled, by id; kept alive, so ids stay unique.
         self.buffers = {}
         self.sendmsgs = []  # (buffer count, bytes written or None)
+        self.flags = []  # each sendmsg's flags
 
     def recv_into(self, view):
         self.recv_calls += 1
@@ -273,6 +274,7 @@ class _CountingSocket:
         return self._sock.recv_into(view)
 
     def sendmsg(self, buffers, *args):
+        self.flags.append(args[1] if len(args) > 1 else 0)
         try:
             sent = self._sock.sendmsg(buffers, *args)
         except BlockingIOError:
@@ -489,12 +491,13 @@ def test_unix_frames_are_one_sendmsg_and_a_full_buffer_calls_wait_writable():
         receiver.close()
 
 
-def test_tcp_frames_with_wait_writable_are_two_nonblocking_writes():
-    """Over TCP with ``wait_writable`` set, a frame is still two writes,
-    its header and then its body, each made without blocking.  A 12 MiB
-    body is more than a loopback send buffer grows to: the body's write
-    is partial, the send calls ``wait_writable`` (here it reads the other
-    end) and resends the rest."""
+def test_tcp_frames_with_wait_writable_are_one_nonblocking_write():
+    """Over TCP a frame is one ``sendmsg`` of its header and its body, as
+    on a Unix socket, and with ``wait_writable`` set it is made without
+    blocking.  A 12 MiB body is more than a loopback send buffer grows
+    to: the write is partial, the send calls ``wait_writable`` (here it
+    reads the other end) and resends the rest.  Without ``wait_writable``
+    a frame is one blocking ``sendmsg`` too."""
     options = ConnectionOptions(eager_buffer_bytes=16 * 2**20)
     with socket.create_server(("127.0.0.1", 0)) as server:
         ours = socket.create_connection(server.getsockname()[:2])
@@ -510,20 +513,24 @@ def test_tcp_frames_with_wait_writable_are_two_nonblocking_writes():
         while (frame := receiver.buffered_frame()) is not None:
             got.append(frame)
 
-    sender.wait_writable = drain
     small = Frame(FrameType.NET, Tag(1, 0), body=b"progress")
     big = Frame(FrameType.TAGGED_MSG, Tag(2, 0), port=5, body=bytes(range(256)) * 49152)
     try:
         sender.send_frame(small)
-        assert sending.sendmsgs == [(1, HEADER_BYTES), (1, len(small.body))]
+        assert sending.sendmsgs == [(2, HEADER_BYTES + len(small.body))]
+        assert sending.flags == [0]
+        assert receiver.recv_frame() == small
+        sender.wait_writable = drain
+        sender.send_frame(small)
+        assert sending.sendmsgs[1:] == [(2, HEADER_BYTES + len(small.body))]
         sender.send_frame(big)
         while len(got) < 2:
             drain()
         assert got == [small, big]
+        assert sending.flags[1:] == [socket.MSG_DONTWAIT] * (len(sending.flags) - 1)
         tries = sending.sendmsgs[2:]
-        assert tries[0] == (1, HEADER_BYTES)
-        assert all(count == 1 for count, _ in tries)
-        assert 0 < (tries[1][1] or 0) < len(big.body)  # a partial write
+        assert tries[0][0] == 2  # header and body together
+        assert 0 < (tries[0][1] or 0) < HEADER_BYTES + len(big.body)  # a partial write
         assert sum(sent or 0 for _, sent in tries) == HEADER_BYTES + len(big.body)
         assert waits
     finally:
