@@ -133,13 +133,13 @@ class _Procs:
         self.procs: list[tuple[str, subprocess.Popen]] = []
 
     def spawn(self, name: str, argv: list[str], **popen_kw) -> subprocess.Popen:
-        err_path = self.workdir / f"{name}.stderr"
-        proc = subprocess.Popen(
-            argv,
-            stdout=popen_kw.pop("stdout", subprocess.DEVNULL),
-            stderr=open(err_path, "w"),
-            **popen_kw,
-        )
+        with open(self.workdir / f"{name}.stderr", "w") as err:
+            proc = subprocess.Popen(
+                argv,
+                stdout=popen_kw.pop("stdout", subprocess.DEVNULL),
+                stderr=err,
+                **popen_kw,
+            )
         self.procs.append((name, proc))
         return proc
 

@@ -425,7 +425,7 @@ class Federate:
         if self.config.store_path:
             self._store = StoreClient(self.config.store_path)
             self._pin_budget = self._store.stats()["capacity_bytes"] // 2
-        self._rti = connect(self.config.rti_address, opts, retry_for=CONNECT_RETRY_S)
+        rti = connect(self.config.rti_address, opts, retry_for=CONNECT_RETRY_S)
         join_body = json.dumps(
             {
                 "fid": self.fid,
@@ -433,8 +433,9 @@ class Federate:
                 "address": self._listener.address,
             }
         ).encode()
-        self._rti.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=join_body))
-        frame = self._rti.recv_frame()
+        rti.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=join_body))
+        self._rti = rti  # from now on request_stop may send
+        frame = rti.recv_frame()
         if frame is None or frame.type != FrameType.START:
             raise FederateError(f"expected START from the coordinator, got {frame}")
         self.start_tag = frame.tag
@@ -840,9 +841,12 @@ class Federate:
     def request_stop(self) -> None:
         """Ask the coordinator to wind the federation down: it opens the
         stop round, which this federate answers like every other.  Any
-        thread may call this."""
+        thread may call this, once :meth:`start` has sent the JOIN."""
+        rti = self._rti
+        if rti is None:
+            raise FederateError("no stop can be requested before joining")
         try:
-            self._rti.send_frame(Frame(FrameType.STOP, FOREVER))
+            rti.send_frame(Frame(FrameType.STOP, FOREVER))
         except (TransportError, OSError):
             pass
 

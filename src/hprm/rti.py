@@ -1,11 +1,11 @@
 """Run-time coordination: registration, progress reports, and shutdown.
 
-One daemon process tracks, per federate, three monotone tags:
+One daemon process tracks, per federate, two monotone tags and the
+federate's reply to the stop round:
 
 * *announced* -- the earliest tag at which the federate might still
   produce an event (its NET report).  ``FOREVER`` means "nothing, ever,
   unless something arrives first"; ``NEVER`` means "not reported yet".
-* *granted* -- the largest announcement acknowledged with a TAG_GRANT.
 * *completed* -- the largest tag the federate has reported finished.  It
   rides in the body of each NET report rather than in a frame of its own.
 
@@ -15,7 +15,7 @@ topology.  A federate reports to the daemon only while idle (empty
 queue, no reaction running, no pending violation): once on going idle,
 and again whenever its promise moves while idle, besides a forced
 report at start, on a lost message and at resignation.  A finite
-announcement above the federate's last grant is acknowledged with a
+announcement above the federate's previous one is acknowledged with a
 TAG_GRANT of exactly that tag, to that federate alone; ``FOREVER`` and
 resigning get none.  No federate waits on a grant: it is kept for the
 benchmark's round-trip probe.
@@ -59,9 +59,14 @@ announcements upward by the cycle delay forever, never reaching
 "Algorithms for Distributed Termination Detection", Distributed
 Computing 2(3), 1987); on quiescence the daemon runs the stop round.
 
-:class:`RtiServer` serves the listener and every federate connection
-from one :class:`~hprm.loop.FrameLoop` on one thread.  It listens on
-TCP, and each send is the transport's one blocking ``sendmsg``.
+Every rule lives in :class:`RtiState`, whose entry points (a join, a
+frame, the end of a session, and :meth:`RtiState.advance` after each)
+return the frames they call for.  :class:`RtiServer` only moves frames:
+it serves the listener and every federate connection from one
+:class:`~hprm.loop.FrameLoop` on one thread, over TCP, and each send is
+the transport's one blocking ``sendmsg``.  The listener stays open until
+the roster is complete; then it closes, and so does every session that
+never joined.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ import argparse
 import json
 import logging
 import socket
-import struct
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -79,12 +83,12 @@ from hprm.loop import FrameLoop, Link
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Tag, delay_tag
 from hprm.topology import Topology
 from hprm.transport import (
-    PROGRESS,
     Frame,
     FrameConnection,
     FrameListener,
     FrameType,
     TransportError,
+    decode_progress,
     encode_progress,  # re-exported for whoever sends this daemon NETs
 )
 
@@ -95,17 +99,6 @@ DEFAULT_STARTUP_OFFSET_NS = 100_000_000
 
 class RtiProtocolError(Exception):
     """A federate broke the coordination protocol's rules."""
-
-
-def decode_progress(body: bytes) -> tuple[bool, int, int, Tag]:
-    """A NET's body (see :func:`hprm.transport.encode_progress`)."""
-    if not body:
-        return False, 0, 0, NEVER
-    try:
-        empty, sent, received, time, microstep = PROGRESS.unpack_from(body)
-        return bool(empty), sent, received, Tag(time, microstep)
-    except (struct.error, ValueError) as exc:
-        raise RtiProtocolError(f"malformed progress report: {exc}") from None
 
 
 class Phase(Enum):
@@ -122,7 +115,6 @@ class FederateRecord:
     address: tuple[str, int] | str | None = None
     clock_at_join_ns: int = 0
     announced: Tag = NEVER
-    granted: Tag = NEVER
     completed: Tag = NEVER
     stop_reply: Tag | None = None  # the largest tag started, once asked
     reported_empty: bool = False
@@ -130,14 +122,12 @@ class FederateRecord:
     received_count: int = 0
 
 
-@dataclass(frozen=True)
-class StartInfo:
-    start_tag: Tag
-    addresses: dict[str, tuple[str, int] | str]
-
-
 class RtiState:
-    """The coordination rules, free of sockets (see RtiServer for those)."""
+    """Every coordination rule, free of sockets (see RtiServer for those).
+
+    ``register``, ``handle_frame`` and ``end`` take what a session brings,
+    and ``advance`` follows each; every one returns the frames it calls
+    for, each with the federate it goes to."""
 
     def __init__(self, topology: Topology, *, startup_offset_ns: int = DEFAULT_STARTUP_OFFSET_NS):
         self.topology = topology
@@ -160,8 +150,10 @@ class RtiState:
 
     def register(
         self, fid: str, clock_ns: int, address: tuple[str, int] | str
-    ) -> StartInfo | None:
-        """Record a join; returns start info once the roster is complete."""
+    ) -> list[tuple[str, Frame]]:
+        """Record a join.  Once the roster is complete, every live
+        federate's START, carrying the start tag and every address, then
+        the stop round if a stop was requested meanwhile."""
         record = self._record(fid)
         if record.joined:
             raise RtiProtocolError(f"federate {fid!r} joined twice")
@@ -171,15 +163,17 @@ class RtiState:
         record.clock_at_join_ns = clock_ns
         record.address = address if isinstance(address, str) else tuple(address)
         if not all(r.joined for r in self.records.values()):
-            return None
+            return []
         latest = max(r.clock_at_join_ns for r in self.records.values())
         self.start_tag = Tag(latest + self.startup_offset_ns, 0)
         self.phase = Phase.RUNNING
         log.info("all %d federates joined; start tag %r", len(self.records), self.start_tag)
-        return StartInfo(
-            self.start_tag,
-            {fid: r.address for fid, r in self.records.items()},
+        addresses = {fid: r.address for fid, r in self.records.items()}
+        start = Frame(
+            FrameType.START, self.start_tag, body=json.dumps({"addresses": addresses}).encode()
         )
+        live = [(fid, start) for fid, r in self.records.items() if not r.resigned]
+        return live + (self.request_stop() if self._stop_pending else [])
 
     # -- announcements ---------------------------------------------------------
 
@@ -195,8 +189,9 @@ class RtiState:
     ) -> list[Tag]:
         """An announcement, with the quiescence report and the last
         completed tag (``NEVER``: none yet) riding along.  Returns the
-        grant it earns, ``[tag]``, or ``[]``.  A federate runs ahead of
-        its grants, so its completed tag may pass them."""
+        grant it earns, ``[tag]`` for a finite announcement above the
+        previous one, or ``[]``.  A federate runs ahead of its grants, so
+        its completed tag may pass them."""
         record = self._record(fid)
         if record.resigned:
             raise RtiProtocolError(f"{fid!r} announced after resigning")
@@ -213,28 +208,18 @@ class RtiState:
                 f"{fid!r} completion went backwards: "
                 f"{record.completed!r} -> {completed!r}"
             )
-        record.announced = tag
+        previous, record.announced = record.announced, tag
         record.reported_empty = queue_empty
         self._sent_total += sent - record.sent_count
         self._received_total += received - record.received_count
         record.sent_count = sent
         record.received_count = received
         record.completed = completed
-        if not tag.is_finite() or tag <= record.granted:
-            return []
-        record.granted = tag
-        return [tag]
-
-    def handle_resign(self, fid: str) -> None:
-        """A session ended; it counts as a reply to the stop round."""
-        record = self._record(fid)
-        record.resigned = True
-        record.announced = FOREVER
+        return [tag] if tag.is_finite() and tag > previous else []
 
     def handle_frame(self, fid: str, frame: Frame) -> list[tuple[str, Frame]]:
-        """A NET or STOP from ``fid`` after its JOIN.  Returns the frames it
-        answers with, each with the federate it goes to: a grant, or the
-        stop round's requests (see also :meth:`advance`)."""
+        """A NET, STOP or RESIGN from ``fid`` after its JOIN: a grant, the
+        stop round's requests, or nothing."""
         if frame.type == FrameType.NET:
             empty, sent, received, completed = decode_progress(frame.body)
             grants = self.handle_net(
@@ -246,15 +231,30 @@ class RtiState:
                 completed=completed,
             )
             return [(fid, Frame(FrameType.TAG_GRANT, tag)) for tag in grants]
+        record = self._record(fid)
+        if frame.type == FrameType.RESIGN:
+            # It counts as a reply to the stop round, and holds up no autostop.
+            record.resigned = True
+            record.announced = FOREVER
+            return []
         if frame.type == FrameType.STOP:
             if frame.tag == FOREVER:
                 return self.request_stop()
-            record = self._record(fid)
             if self.phase is not Phase.STOPPING or record.stop_reply is not None:
                 raise RtiProtocolError(f"{fid!r} replied to no stop request")
             record.stop_reply = frame.tag
             return []
         raise RtiProtocolError(f"{fid!r} sent unexpected {FrameType(frame.type).name}")
+
+    def end(self, fid: str) -> list[tuple[str, Frame]]:
+        """``fid``'s session ended.  Without a RESIGN first (a federate
+        killed, or cut off for breaking the protocol), it resigns now and
+        the stop round opens: its last counts never came, so autostop
+        might never fire."""
+        if self._record(fid).resigned:
+            return []
+        self.handle_frame(fid, Frame(FrameType.RESIGN, NEVER))
+        return self.request_stop()
 
     # -- shutdown -----------------------------------------------------------------
 
@@ -285,13 +285,10 @@ class RtiState:
         ask = Frame(FrameType.STOP, FOREVER)
         return [(fid, ask) for fid, r in self.records.items() if not r.resigned]
 
-    def pending_stop(self) -> bool:
-        return self._stop_pending
-
     def advance(self) -> list[tuple[str, Frame]]:
-        """What the last report, reply or resignation calls for: opening
-        the stop round on quiescence, or, once every live federate has
-        replied, broadcasting the stop tag."""
+        """What the last join, report, reply or session end calls for:
+        opening the stop round on quiescence, or, once every live
+        federate has replied, broadcasting the stop tag."""
         if self.autostop_ready():
             return self.request_stop()
         if self.phase is not Phase.STOPPING or self._stop_tag is not None:
@@ -318,12 +315,12 @@ class RtiState:
 
 class RtiServer:
     """Socket front end: one :class:`~hprm.loop.FrameLoop` serves the
-    listener and every federate connection on one thread, over a shared
-    RtiState.
+    listener and every federate connection on one thread, handing what
+    each session brings to a shared RtiState and sending what it returns.
 
     ``start`` runs the loop on a thread of its own, ``serve_forever`` on
-    the caller's.  The loop ends once every expected federate has joined
-    and every connection has closed, or when ``close`` wakes it."""
+    the caller's.  The loop ends once the roster is complete and every
+    connection has closed, or when ``close`` wakes it."""
 
     def __init__(
         self,
@@ -341,7 +338,6 @@ class RtiServer:
         # close() ends the other end of this pair, which wakes the loop.
         wake, self._waker = socket.socketpair()
         self._wake = self._loop.watch(FrameConnection(wake), self._woken)
-        self._to_accept = len(self.state.records)
         self._sessions: set[Link] = set()
         self._conns: dict[str, FrameConnection] = {}
         self._thread: threading.Thread | None = None
@@ -352,77 +348,63 @@ class RtiServer:
     def address(self) -> tuple[str, int]:
         return self._address
 
-    # -- frame helpers -------------------------------------------------------
-
-    def _send(self, fid: str, frame: Frame) -> None:
-        conn = self._conns.get(fid)
-        if conn is None:
-            return
-        try:
-            conn.send_frame(frame)
-        except (TransportError, OSError):
-            log.warning("lost connection to %s while sending", fid)
+    # -- sessions ------------------------------------------------------------------
 
     def _send_all(self, frames: list[tuple[str, Frame]]) -> None:
         for fid, frame in frames:
-            self._send(fid, frame)
-
-    # -- per-federate frames ----------------------------------------------------
-
-    def _register(self, conn: FrameConnection, frame: Frame) -> str | None:
-        if frame.type != FrameType.JOIN:
-            log.warning("connection sent %s before JOIN; dropping", frame.type)
-            return None
-        body = json.loads(frame.body.decode())
-        fid = body["fid"]
-        start = self.state.register(fid, body["clock_ns"], body["address"])
-        self._conns[fid] = conn
-        if start is not None:
-            payload = json.dumps({"addresses": start.addresses}).encode()
-            for joined_fid in list(self._conns):
-                self._send(
-                    joined_fid,
-                    Frame(FrameType.START, start.start_tag, body=payload),
-                )
-            if self.state.pending_stop():
-                self._send_all(self.state.request_stop())
-                self._send_all(self.state.advance())
-        return fid
+            conn = self._conns.get(fid)
+            if conn is None:
+                continue  # its session has ended
+            try:
+                conn.send_frame(frame)
+            except (TransportError, OSError):
+                log.warning("lost connection to %s while sending", fid)
 
     def _from_federate(self, link: Link, item) -> None:
         """One frame of a session, or its end; the session ends at RESIGN,
         end of stream or a protocol error."""
-        try:
-            if isinstance(item, Frame) and link.peer is None:
-                link.peer = self._register(link.conn, item)
-                if link.peer is not None:
+        if isinstance(item, Frame):
+            try:
+                if link.peer is None:
+                    out = self._join(link, item)
+                else:
+                    out = self.state.handle_frame(link.peer, item)
+                self._send_all(out + self.state.advance())
+                if item.type != FrameType.RESIGN:
                     return
-            elif isinstance(item, Frame) and item.type != FrameType.RESIGN:
-                self._send_all(self.state.handle_frame(link.peer, item))
-                self._send_all(self.state.advance())
-                return
-        except (RtiProtocolError, ValueError, KeyError) as exc:
-            log.error("federate %s violated the protocol: %s", link.peer, exc)
-        if isinstance(item, (TransportError, OSError)):
+            except (RtiProtocolError, ValueError, KeyError, TypeError) as exc:
+                log.error("federate %s violated the protocol: %s", link.peer, exc)
+        elif item is not None:
             log.error("federate %s violated the protocol: %s", link.peer, item)
+        self._end(link)
+
+    def _join(self, link: Link, frame: Frame) -> list[tuple[str, Frame]]:
+        """A session's first frame, which must be its JOIN.  Once the
+        roster is complete, no one else may join."""
+        if frame.type != FrameType.JOIN:
+            raise RtiProtocolError(f"{FrameType(frame.type).name} before JOIN")
+        body = json.loads(frame.body.decode())
+        out = self.state.register(body["fid"], body["clock_ns"], body["address"])
+        link.peer = body["fid"]
+        self._conns[link.peer] = link.conn
+        if self.state.start_tag is not None:
+            self._close_listener()
+            for other in [s for s in self._sessions if s.peer is None]:
+                self._end(other)
+        return out
+
+    def _end(self, link: Link) -> None:
         link.done = True
         self._loop.unwatch(link.conn)
         self._sessions.discard(link)
+        link.conn.close()
         if link.peer is not None:
             self._conns.pop(link.peer, None)
-            self.state.handle_resign(link.peer)
-            if not (isinstance(item, Frame) and item.type == FrameType.RESIGN):
-                # Its last counts never came, so autostop might never fire.
-                self._send_all(self.state.request_stop())
-            self._send_all(self.state.advance())
-        link.conn.close()
+            self._send_all(self.state.end(link.peer) + self.state.advance())
 
     def _accept(self, conn: FrameConnection) -> Link:
         link = self._loop.watch(conn, self._from_federate)
         self._sessions.add(link)
-        self._to_accept -= 1
-        if self._to_accept == 0:
-            self._close_listener()
         return link
 
     def _close_listener(self) -> None:
@@ -489,9 +471,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--listen", default="127.0.0.1:0", help="host:port to bind")
     parser.add_argument("--topology", required=True, help="topology JSON file")
-    parser.add_argument(
-        "--federates", type=int, default=None, help="expected federate count (sanity check)"
-    )
     parser.add_argument("--startup-offset-ms", type=float, default=DEFAULT_STARTUP_OFFSET_NS / 1e6)
     parser.add_argument("--log-level", default="INFO")
     args = parser.parse_args(argv)
@@ -500,11 +479,6 @@ def main(argv=None) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     topology = Topology.load(args.topology)
-    if args.federates is not None and args.federates != len(topology.federates):
-        parser.error(
-            f"--federates {args.federates} does not match topology "
-            f"({len(topology.federates)} federates)"
-        )
     host, _, port = args.listen.rpartition(":")
     server = RtiServer(
         topology,

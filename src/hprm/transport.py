@@ -152,6 +152,18 @@ def encode_progress(
     )
 
 
+def decode_progress(body: bytes) -> tuple[bool, int, int, Tag]:
+    """What :func:`encode_progress` packed; an empty body reports nothing
+    yet.  Raises ValueError on a malformed body."""
+    if not body:
+        return False, 0, 0, NEVER
+    try:
+        empty, sent, received, tag_time, microstep = PROGRESS.unpack_from(body)
+        return bool(empty), sent, received, Tag(tag_time, microstep)
+    except (struct.error, ValueError) as exc:
+        raise ValueError(f"malformed progress report: {exc}") from None
+
+
 class FrameConnection:
     """One framed byte stream over a connected socket.
 

@@ -9,11 +9,13 @@ smallest sizes that still exercise the store path.
 """
 
 import ast
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -298,6 +300,20 @@ def test_address_read_gives_up_on_a_silent_child_at_its_deadline(tmp_path, monke
         _read_address(procs, "quiet", proc, "quiet listening on ")
     assert time.monotonic() - t0 < 2.0 + 1.0
     assert proc.poll() is not None  # and it was stopped
+
+
+def test_spawning_a_child_leaves_no_file_open(tmp_path):
+    """The file a child writes its stderr to is closed in this process
+    once the child has it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        _Procs(tmp_path).spawn("quick", [sys.executable, "-c", "pass"]).wait(30)
+        gc.collect()
+    leaks = [
+        str(w.message) for w in caught
+        if issubclass(w.category, ResourceWarning) and ".stderr" in str(w.message)
+    ]
+    assert leaks == []
 
 
 # -- the runtime's contract with perfbench ------------------------------------

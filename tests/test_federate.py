@@ -831,6 +831,52 @@ def test_grants_keep_a_running_ahead_publisher_within_the_stop_tag(monkeypatch):
     assert pub.messages_sent == sub.messages_received
 
 
+def test_a_stop_cannot_be_requested_before_joining():
+    fed = Federate(FederateConfig(fid="solo"), Topology.build(["solo"], []))
+    with pytest.raises(FederateError):
+        fed.request_stop()
+
+
+def test_a_stop_requested_between_join_and_start_is_deferred():
+    """``a`` asks for a stop from another thread once its JOIN is out,
+    while it waits for START: ``b`` joins about 200 ms later.  The
+    coordinator holds the request until start, so both stop one
+    microstep past the start tag, before the event each holds 10 s on."""
+    topo = Topology.build(["a", "b"], [])
+    rti = RtiServer(topo, startup_offset_ns=30 * MS).start()
+    feds = [Federate(FederateConfig(fid=f, rti_address=rti.address), topo) for f in "ab"]
+    results = {}
+
+    def runner(fed):
+        try:
+            start = fed.start()
+            fed.on("tick", lambda ctx: None)
+            fed.schedule(Tag(start.time + 10_000 * MS, 0), "tick")
+            results[fed.fid] = fed.run()
+        except BaseException as exc:  # surfaced to the asserting test
+            results[fed.fid] = exc
+
+    threads = [threading.Thread(target=runner, args=(f,), daemon=True) for f in feds]
+    try:
+        threads[0].start()
+        deadline = time.monotonic() + 10
+        while feds[0]._rti is None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        feds[0].request_stop()
+        assert feds[0].start_tag is None  # b has not joined yet
+        time.sleep(0.2)
+        threads[1].start()
+        hung = _join_by(threads, time.monotonic() + 10)
+    finally:
+        rti.close()
+    assert not hung, results
+    stop = delay_tag(feds[0].start_tag, NO_DELAY)
+    for fed in feds:
+        summary = results[fed.fid]
+        assert isinstance(summary, RunSummary), summary
+        assert (summary.stop_tag, summary.executed) == (stop, 0)
+
+
 # -- decentralized federations ----------------------------------------------
 
 

@@ -13,12 +13,16 @@ announcement.  The second runs real federates over FIFO links that carry
 data and announcements with random delays, so the arrival floor alone
 must hold each tag back until its input is in; the federates report to
 the coordinator only while idle, and the coordinator runs the stop round
-on a request at a random step or on autostop.
+on a request at a random step, on autostop, or when a federate killed at
+a random step leaves without resigning.
 """
 
 import heapq
 import json
 import random
+import select
+import threading
+import time
 from collections import deque
 
 import pytest
@@ -28,17 +32,10 @@ from hypothesis import strategies as st
 from hprm.clock import ManualClock
 from hprm.federate import Federate, FederateConfig
 from hprm.loop import Link
-from hprm.rti import (
-    Phase,
-    RtiProtocolError,
-    RtiServer,
-    RtiState,
-    decode_progress,
-    encode_progress,
-)
+from hprm.rti import Phase, RtiProtocolError, RtiServer, RtiState, encode_progress
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Delay, Tag, bound_tag, delay_tag
 from hprm.topology import Connection, Topology, validate_topology
-from hprm.transport import Frame, FrameListener, FrameType, connect
+from hprm.transport import Frame, FrameListener, FrameType, connect, decode_progress
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -50,25 +47,29 @@ def make_state(connections, federates, offset_ns=0):
     )
 
 
-def join_all(state, clocks=None):
-    clocks = clocks or {}
-    start = None
+def join_all(state):
     for fid in state.topology.federates:
-        start = state.register(fid, clocks.get(fid, 0), ("127.0.0.1", 1))
-    return start
+        state.register(fid, 0, ("127.0.0.1", 1))
 
 
 # -- registration -------------------------------------------------------------
 
 
 def test_start_tag_is_latest_clock_plus_offset():
+    """The last join answers every federate with a START at the start
+    tag, carrying every federate's address."""
     state = make_state([], ["a", "b", "c"], offset_ns=100 * MS)
-    assert state.register("a", 50, ("h", 1)) is None
-    assert state.register("b", 900, ("h", 2)) is None
-    start = state.register("c", 100, ("h", 3))
-    assert start is not None
-    assert start.start_tag == Tag(900 + 100 * MS, 0)
-    assert start.addresses == {"a": ("h", 1), "b": ("h", 2), "c": ("h", 3)}
+    assert state.register("a", 50, ("h", 1)) == []
+    assert state.register("b", 900, ("h", 2)) == []
+    out = state.register("c", 100, ("h", 3))
+    tag = Tag(900 + 100 * MS, 0)
+    assert [(fid, f.type, f.tag) for fid, f in out] == [
+        (fid, FrameType.START, tag) for fid in ("a", "b", "c")
+    ]
+    assert json.loads(out[0][1].body) == {
+        "addresses": {"a": ["h", 1], "b": ["h", 2], "c": ["h", 3]}
+    }
+    assert state.start_tag == tag
     assert state.phase is Phase.RUNNING
 
 
@@ -93,7 +94,6 @@ def test_delayed_upstream_bounds_downstream_grant():
     join_all(state)
     assert state.handle_net("p", Tag(1 * S, 0)) == [Tag(1 * S, 0)]  # upstream silent
     assert state.handle_net("s", Tag(100 * MS, 0)) == [Tag(100 * MS, 0)]  # to s alone
-    assert state.records["p"].granted == Tag(1 * S, 0)
 
 
 def test_grant_capped_at_announcement():
@@ -104,7 +104,6 @@ def test_grant_capped_at_announcement():
     join_all(state)
     assert state.handle_net("p", Tag(150 * MS, 0)) == [Tag(150 * MS, 0)]
     assert state.handle_net("s", Tag(500 * MS, 0)) == [Tag(500 * MS, 0)]
-    assert state.records["p"].granted == Tag(150 * MS, 0)
 
 
 def test_forever_announcement_emits_no_grant_but_unblocks_downstream():
@@ -117,7 +116,6 @@ def test_forever_announcement_emits_no_grant_but_unblocks_downstream():
     assert state.handle_net("s", Tag(10, 0)) == [Tag(10, 0)]
     assert state.handle_net("p", Tag(1 * S, 0)) == [Tag(1 * S, 0)]
     assert state.handle_net("s", FOREVER) == []
-    assert state.records["s"].granted == Tag(10, 0)
     assert not state.autostop_ready()
     assert state.handle_net("p", FOREVER) == []
     assert state.autostop_ready()
@@ -133,7 +131,6 @@ def test_grants_are_monotone_per_federate():
     assert state.handle_net("s", Tag(100, 0)) == []  # same announcement: no new grant
     assert state.handle_net("s", Tag(100, 1)) == [Tag(100, 1)]
     assert state.handle_net("p", Tag(1000, 0)) == []  # s moved: nothing for p
-    assert [state.records[f].granted for f in ("p", "s")] == [Tag(1000, 0), Tag(100, 1)]
 
 
 def test_net_regression_rejected():
@@ -175,7 +172,7 @@ def test_progress_body_round_trip():
     body = encode_progress(True, 7, 5, Tag(123, 4))
     assert decode_progress(body) == (True, 7, 5, Tag(123, 4))
     assert decode_progress(encode_progress(False, 0, 0)) == (False, 0, 0, NEVER)
-    with pytest.raises(RtiProtocolError):
+    with pytest.raises(ValueError):
         decode_progress(body[:-1])
 
 
@@ -190,10 +187,9 @@ def test_resign_unblocks_downstream():
     state.handle_net("s", Tag(5, 0))
     assert state.handle_net("p", Tag(777, 0), queue_empty=True) == [Tag(777, 0)]
     assert not state.autostop_ready()
-    state.handle_resign("s")
-    state.handle_resign("s")  # idempotent
+    assert state.handle_frame("s", Frame(FrameType.RESIGN, Tag(0, 0))) == []
+    assert state.end("s") == []  # it resigned: its session's end asks for nothing
     assert state.records["s"].announced == FOREVER
-    assert state.records["p"].granted == Tag(777, 0)
     assert state.autostop_ready()
     with pytest.raises(RtiProtocolError):
         state.handle_net("s", Tag(10, 0))
@@ -283,12 +279,17 @@ ASK = Frame(FrameType.STOP, FOREVER)
 
 
 def test_stop_requested_before_start_is_deferred():
+    """A request made while registering opens the stop round right after
+    the STARTs, which the last join returns."""
     state = make_state([], ["a", "b"])
     state.register("a", 0, ("h", 1))
-    assert state.request_stop() == []
-    assert state.pending_stop()
-    state.register("b", 0, ("h", 2))
-    assert state.request_stop() == [("a", ASK), ("b", ASK)]
+    assert state.handle_frame("a", ASK) == []
+    out = state.register("b", 0, ("h", 2))
+    assert [(fid, f.type) for fid, f in out[:2]] == [
+        ("a", FrameType.START), ("b", FrameType.START)
+    ]
+    assert out[2:] == [("a", ASK), ("b", ASK)]
+    assert state.advance() == []  # no one has replied
     assert state.handle_frame("a", Frame(FrameType.STOP, NEVER)) == []
     assert state.advance() == []  # b has not replied
     assert state.handle_frame("b", Frame(FrameType.STOP, NEVER)) == []
@@ -312,7 +313,7 @@ def test_stop_round_waits_for_every_live_reply():
         state.handle_frame("a", Frame(FrameType.STOP, Tag(500, 3)))  # replied twice
     assert state.handle_frame("c", Frame(FrameType.STOP, Tag(600, 0))) == []
     assert state.advance() == []
-    state.handle_resign("b")
+    assert state.end("b") == []  # its session ended; the round is open already
     stop = Frame(FrameType.STOP, Tag(700, 1))
     assert state.advance() == [("a", stop), ("c", stop)]
     assert state.initiate_stop() == Tag(700, 1)
@@ -324,7 +325,23 @@ def test_a_reply_without_a_stop_round_is_rejected():
     with pytest.raises(RtiProtocolError):
         state.handle_frame("a", Frame(FrameType.STOP, Tag(5, 0)))
     with pytest.raises(RtiProtocolError):
-        state.handle_frame("a", Frame(FrameType.RESIGN, Tag(0, 0)))
+        state.handle_frame("a", Frame(FrameType.JOIN, Tag(0, 0)))
+    assert state.handle_frame("a", Frame(FrameType.RESIGN, Tag(0, 0))) == []
+    assert state.records["a"].resigned
+
+
+def test_a_session_ending_without_resign_opens_the_stop_round():
+    """A killed federate's last counts never come, so autostop might never
+    fire: the end of its session opens the round, which it counts as
+    having answered."""
+    state = make_state([], ["a", "b"])
+    join_all(state)
+    assert state.end("a") == [("b", ASK)]
+    assert state.end("a") == []
+    assert state.records["a"].announced == FOREVER
+    assert state.handle_frame("b", Frame(FrameType.STOP, NEVER)) == []
+    stop = Frame(FrameType.STOP, delay_tag(state.start_tag, NO_DELAY))
+    assert state.advance() == [("b", stop)]
 
 
 def test_autostop_opens_the_stop_round():
@@ -364,6 +381,53 @@ def test_server_grants_a_three_argument_progress_report():
             conn.send_frame(Frame(FrameType.RESIGN, tag))
         server.join(timeout=5)
         assert server.state.records["solo"].resigned
+    finally:
+        server.close()
+
+
+def test_stray_connections_take_no_place_on_the_roster():
+    """Before the only federate joins, one connection closes at once and
+    one stays open and silent.  Neither holds the federate's place: it
+    starts at once.  The silent one is closed once the roster is
+    complete, so the server ends after the federate resigns."""
+    topology = Topology.build(["solo"], [])
+    server = RtiServer(topology, startup_offset_ns=0).start()
+    fed = Federate(FederateConfig(fid="solo", rti_address=server.address), topology)
+    try:
+        with connect(server.address, retry_for=5.0) as silent:
+            connect(server.address, retry_for=5.0).close()
+            time.sleep(0.2)  # the server takes both before the federate connects
+            began = time.monotonic()
+            fed.start()
+            assert time.monotonic() - began < 2.0
+            summaries = []  # it has nothing to run, so it autostops at once
+            runner = threading.Thread(target=lambda: summaries.append(fed.run()), daemon=True)
+            runner.start()
+            runner.join(timeout=10)
+            assert [s.status for s in summaries] == ["completed"]
+            server.join(timeout=5)
+            assert not server._thread.is_alive(), "the server outlived every session"
+            assert select.select([silent], [], [], 5)[0]
+            assert silent.recv_frame() is None
+    finally:
+        server.close()
+
+
+def test_a_join_whose_body_is_not_an_object_ends_only_its_session():
+    """A protocol error, like any other: the server closes that session
+    and goes on serving."""
+    topology = Topology.build(["solo"], [])
+    server = RtiServer(topology, startup_offset_ns=0).start()
+    try:
+        with connect(server.address, retry_for=5.0) as stray:
+            stray.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=b"[]"))
+            assert stray.recv_frame() is None
+        server.join(timeout=0.5)
+        assert server._thread.is_alive(), "the server ended with the stray session"
+        fed = Federate(FederateConfig(fid="solo", rti_address=server.address), topology)
+        assert fed.start() == server.state.start_tag
+        fed.request_stop()
+        assert fed.run().status == "completed"
     finally:
         server.close()
 
@@ -577,7 +641,7 @@ class _Fifo(deque):
 _FIFO_STEP_BOUND = 50_000
 
 
-def run_fifo_federation(topology, initial_events, seed, *, stop_at=None):
+def run_fifo_federation(topology, initial_events, seed, *, stop_at=None, kill_at=None):
     """Run real centralized federates, wired by in-memory FIFO links,
     until every one has halted, delivering the head of a randomly chosen
     link at each step.
@@ -585,8 +649,10 @@ def run_fifo_federation(topology, initial_events, seed, *, stop_at=None):
     Each pair of peers shares one link for data and announcements, and
     each federate has one link to the coordinator (an RtiState) and one
     back.  A random federate requests a stop at step ``stop_at``; with
-    None the federation runs until the coordinator's autostop.  Returns
-    the number of events run."""
+    None the federation runs until the coordinator's autostop.  A random
+    federate dies at step ``kill_at``: the links it writes close without
+    RESIGN, and it does nothing more.  Returns the number of events
+    run."""
     rng = random.Random(seed)
     state = RtiState(topology, startup_offset_ns=0)
     join_all(state)
@@ -594,6 +660,7 @@ def run_fifo_federation(topology, initial_events, seed, *, stop_at=None):
     feds, links, ends, to_rti, from_rti = {}, {}, {}, {}, {}
     counts = {"created": 0, "ran": 0}
     executed = {fid: [] for fid in topology.federates}
+    killed = set()
 
     for fid in topology.federates:
         fed = Federate(FederateConfig(fid=fid), topology, clock=clock)
@@ -630,6 +697,15 @@ def run_fifo_federation(topology, initial_events, seed, *, stop_at=None):
     def stop_tag():
         return state._stop_tag
 
+    def live():
+        return [f for f in feds.values() if not f._finished and f.fid not in killed]
+
+    def kill(fed):
+        killed.add(fed.fid)
+        to_rti[fed.fid].close()
+        for dst in fed._downstream:
+            links[fed.fid, dst].close()
+
     def runnable(fed):
         head = fed._head()
         return head is not None and fed._gate_wait_ns(head, clock.now_ns()) is None
@@ -649,19 +725,14 @@ def run_fifo_federation(topology, initial_events, seed, *, stop_at=None):
         fed._shutdown("completed")  # RESIGN, then every link closes
 
     def in_flight():
+        """Data on its way to a federate that has not died."""
         return [
-            f for link in links.values() for f in link
+            f for (_, dst), link in links.items() if dst not in killed for f in link
             if f is not None and f.type == FrameType.TAGGED_MSG
         ]
 
     def at_coordinator(fid, frame):
-        if frame is None or state.records[fid].resigned:
-            return  # the session has ended
-        if frame.type == FrameType.RESIGN:
-            state.handle_resign(fid)
-            out = []
-        else:
-            out = state.handle_frame(fid, frame)
+        out = state.end(fid) if frame is None else state.handle_frame(fid, frame)
         running = state.phase is Phase.RUNNING
         out += state.advance()
         if running and state.phase is not Phase.RUNNING:
@@ -690,21 +761,23 @@ def run_fifo_federation(topology, initial_events, seed, *, stop_at=None):
         fed._from_upstream(ends[src, dst], frame)
 
     steps = 0
-    while not all(fed._finished for fed in feds.values()):
+    while live():
         if steps == stop_at:
-            rng.choice([f for f in feds.values() if not f._finished]).request_stop()
+            rng.choice(live()).request_stop()
+        if steps == kill_at:
+            kill(rng.choice(live()))
         actions = [
-            (at_peer, key, link) for key, link in links.items() if link
+            (at_peer, key, link) for key, link in links.items()
+            if link and key[1] not in killed
         ] + [
             (at_coordinator, (fid,), link) for fid, link in to_rti.items() if link
         ] + [
-            (at_federate, (fid,), link) for fid, link in from_rti.items() if link
+            (at_federate, (fid,), link) for fid, link in from_rti.items()
+            if link and fid not in killed
         ] + [
-            (run, (fed,), None)
-            for fed in feds.values() if not fed._finished and runnable(fed)
+            (run, (fed,), None) for fed in live() if runnable(fed)
         ] + [
-            (halt, (fed,), None)
-            for fed in feds.values() if not fed._finished and halting(fed)
+            (halt, (fed,), None) for fed in live() if halting(fed)
         ]
         assert actions, "deadlock: events remain but nothing can move"
         steps += 1
@@ -719,21 +792,27 @@ def run_fifo_federation(topology, initial_events, seed, *, stop_at=None):
                 raise fed._fatal
 
     stop = stop_tag()
-    assert all(fed._stop_tag == stop for fed in feds.values())
-    for fid, tags in executed.items():
-        assert all(t <= stop for t in tags), (fid, tags, stop)
+    survivors = [fed for fed in feds.values() if fed.fid not in killed]
+    assert all(fed._stop_tag == stop for fed in survivors)
+    for fed in survivors:
+        tags = executed[fed.fid]
+        assert all(t <= stop for t in tags), (fed.fid, tags, stop)
     late = [f.tag for f in in_flight() if f.tag <= stop]
     assert not late, f"messages at {late} never received"
-    if stop_at is None:
+    if stop_at is None and not killed:
         assert counts["ran"] == counts["created"], "an event never ran"
     return counts["ran"]
 
 
-@pytest.mark.parametrize("stop", ["requested", "autostop"])
+@pytest.mark.parametrize("stop", ["requested", "autostop", "killed"])
 @given(case=federation_cases(), step=st.integers(0, 300))
 @settings(max_examples=400, deadline=None)
 def test_arrival_floor_alone_orders_events_over_fifo_links(stop, case, step):
+    """``killed``: a federate dies at a random step, and the survivors
+    still stop together, at one stop tag, having received everything up
+    to it."""
     topology, initial, seed = case
     stop_at = step if stop == "requested" else None
-    ran = run_fifo_federation(topology, initial, seed, stop_at=stop_at)
-    assert ran > 0 or stop_at is not None
+    kill_at = step if stop == "killed" else None
+    ran = run_fifo_federation(topology, initial, seed, stop_at=stop_at, kill_at=kill_at)
+    assert ran > 0 or stop != "autostop"
