@@ -2,10 +2,14 @@
 
 A small daemon (:mod:`hprm.store.daemon`, started as ``hprm-store`` or
 ``python -m hprm.store.daemon``) owns one anonymous memfd segment per
-object and arbitrates their lifecycle (create, seal, get, release, then
-retirement after the last expected read or LRU eviction); clients map
-the segments it hands them as descriptors, so object bytes cross process
-boundaries without ever being copied through a socket.  A seal may
+object; clients map the segments it hands them as descriptors, so object
+bytes cross process boundaries without ever being copied through a
+socket.  Every lifecycle rule (create, seal, get, release, then
+retirement after the last expected read, LRU eviction, or the end of
+the creator's session before it sealed) lives in
+:class:`~hprm.store.state.StoreState`, keyed by session: a session may
+release only its own pins and seal only the objects it created, and
+the daemon only moves requests, segments and descriptors.  A seal may
 declare how many gets the object will see; once those readers have
 released it with no view of it left, its segment is recycled at once,
 the most recently retired first.  A session maps each recycled segment

@@ -3,23 +3,31 @@
 One single-threaded event loop owns everything: the lifecycle state, the
 objects' memory, and the control socket.  Clients talk over a unix
 stream socket with the :mod:`hprm.store.wire` codec; the daemon never
-touches object bytes.
+touches object bytes.  Every lifecycle rule lives in
+:class:`~hprm.store.state.StoreState`, keyed by session (each
+connection is one): the daemon only parses requests, hands the state
+each one with its connection, moves segments and descriptors, and
+replies.  So a session may release only its own pins and seal only the
+objects it created.
 
 Each object is an anonymous ``memfd`` segment whose descriptor rides on
 the CREATE or GET reply.  No file is named, so a daemon that dies, even
 by SIGKILL, leaves nothing behind but its socket path.  Dead objects'
 segments go into a reuse pool, oldest closed first, whose bytes never
 exceed the free bytes, so live plus pooled memory stays within capacity.
-An object dies when it is evicted, or when it is retired after its last
-expected read: SEAL declares how many gets it will see, and the RELEASE
-that ends the last of them, with every reader's mapping reported closed,
-moves its segment straight into the pool.  A create takes the most
-recently retired pooled segment of the same page count, if there is
-one: its pages are already faulted in, which skips the kernel's
-zero-fill, and handing out the newest keeps few segments in circulation,
-so each client session maps each of them once (:mod:`hprm.store.client`).
+An object dies when a create evicts it, when it is retired after its
+last expected read (SEAL declares how many gets it will see, and the
+RELEASE that ends the last of them, with every reader's mapping reported
+closed, retires it), or when its creator's session ends before sealing
+it.  The state reports each death through one channel, which the daemon
+drains into the pool after every request, before a create takes a
+segment.  A create takes the most recently retired pooled segment of
+the same page count, if there is one: its pages are already faulted in,
+which skips the kernel's zero-fill, and handing out the newest keeps few
+segments in circulation, so each client session maps each of them once
+(:mod:`hprm.store.client`).
 
-Pins protect readers: only sealed objects with zero references are ever
+Pins protect readers: only sealed objects that no session pins are ever
 evicted.  A release that reports a view of the object still open keeps
 the object cached until LRU eviction, so a view kept past its release
 stays valid until then, and afterwards may observe recycled contents.
@@ -31,9 +39,9 @@ Every request is answered at once.  A GET of an object that is unknown
 ``UNKNOWN_ID`` or ``NOT_SEALED``: a publisher seals before it sends the
 reference, so waiting could only turn a lost message into a stall.
 
-A connection that drops is cleaned up: pins it still held are released
-and unsealed objects it created are deleted, so a crashed client cannot
-leak references or half-written objects.
+A connection that drops ends its session: pins it still held are
+released and unsealed objects it created are dropped, so a crashed
+client cannot leak references or half-written objects.
 """
 
 from __future__ import annotations
@@ -58,13 +66,14 @@ _PAGE = os.sysconf("SC_PAGE_SIZE")
 
 
 class _Conn:
-    __slots__ = ("sock", "inbuf", "refs", "creating")
+    """One client session: its socket and unparsed input.  It is also
+    the session key the state records pins and creators under."""
+
+    __slots__ = ("sock", "inbuf")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.inbuf = bytearray()
-        self.refs: dict[bytes, int] = {}
-        self.creating: set[bytes] = set()
 
 
 class StoreDaemon:
@@ -117,14 +126,6 @@ class StoreDaemon:
             raise
         return fd
 
-    def _retire(self, oids) -> None:
-        """Move dead objects' segments into the reuse pool.
-
-        Contents are not scrubbed; a recycled segment may hand back stale
-        bytes in regions the new creator never writes: the padding
-        between a payload's segments, which its decoder never reads."""
-        self._pool.extend(self._segments.pop(oid) for oid in oids)
-
     def _trim_pool(self) -> None:
         pooled = sum(size for size, _ in self._pool)
         while pooled > self.state.free_bytes:
@@ -147,12 +148,31 @@ class StoreDaemon:
             self._drop_conn(conn)
 
     def _handle_request(self, conn: _Conn, op: int, oid: bytes, arg: int) -> None:
+        blob = b""
         if op == wire.Op.CREATE:
-            result = self.state.create(oid, arg)
-            self._retire(result.evicted)
-            if result.status is not Status.OK:
-                self._respond(conn, result.status)
-                return
+            status = self.state.create(conn, oid, arg)
+        elif op == wire.Op.SEAL:
+            status = self.state.seal(conn, oid, arg)
+        elif op == wire.Op.GET:
+            status, value = self.state.get(conn, oid)
+        elif op == wire.Op.RELEASE:
+            status = self.state.release(conn, oid, unmapped=arg == 1)
+        elif op == wire.Op.STATS:
+            status, blob = Status.OK, json.dumps(self.state.stats()).encode()
+        else:
+            status = Status.BAD_REQUEST
+        # Every dead object's segment goes into the reuse pool, before a
+        # create takes one.  Contents are not scrubbed; a recycled segment
+        # may hand back stale bytes in regions the new creator never
+        # writes: the padding between a payload's segments, which its
+        # decoder never reads.
+        for dead in self.state.take_dead():
+            self._pool.append(self._segments.pop(dead))
+        if status is not Status.OK:
+            self._respond(conn, status)
+        elif op == wire.Op.GET:
+            self._respond(conn, status, value, fd=self._segments[oid][1])
+        elif op == wire.Op.CREATE:
             try:
                 fd = self._segment(arg)
             except OSError as exc:
@@ -163,36 +183,9 @@ class StoreDaemon:
                 return
             self._segments[oid] = (arg, fd)
             self._trim_pool()
-            conn.creating.add(oid)
-            self._respond(conn, Status.OK, arg, fd=fd)
-        elif op == wire.Op.SEAL:
-            status = self.state.seal(oid, arg)
-            if status is Status.OK:
-                conn.creating.discard(oid)
-            self._respond(conn, status)
-        elif op == wire.Op.GET:
-            status, size = self.state.get(oid)
-            if status is Status.OK:
-                conn.refs[oid] = conn.refs.get(oid, 0) + 1
-                self._respond(conn, status, size, fd=self._segments[oid][1])
-            else:
-                self._respond(conn, status)
-        elif op == wire.Op.RELEASE:
-            status = self.state.release(oid, unmapped=arg == 1)
-            if status is Status.OK:
-                left = conn.refs.get(oid, 0) - 1
-                if left > 0:
-                    conn.refs[oid] = left
-                else:
-                    conn.refs.pop(oid, None)
-                if oid not in self.state:  # its last expected read
-                    self._retire([oid])
-            self._respond(conn, status)
-        elif op == wire.Op.STATS:
-            blob = json.dumps(self.state.stats()).encode()
-            self._respond(conn, Status.OK, 0, blob)
+            self._respond(conn, status, arg, fd=fd)
         else:
-            self._respond(conn, Status.BAD_REQUEST)
+            self._respond(conn, status, blob=blob)
 
     def _drop_conn(self, conn: _Conn) -> None:
         if conn.sock not in self._conns:
@@ -203,13 +196,8 @@ class StoreDaemon:
         except (KeyError, ValueError):
             pass
         conn.sock.close()
-        for oid, count in conn.refs.items():
-            for _ in range(count):
-                self.state.release(oid)
-        for oid in conn.creating:
-            if self.state.drop(oid) is Status.OK:
-                self._retire([oid])
-        log.debug("dropped client; released %d pin group(s)", len(conn.refs))
+        # Its unsealed objects' segments are pooled at the next request.
+        self.state.end(conn)
 
     # -- the loop ------------------------------------------------------------
 

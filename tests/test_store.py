@@ -2,11 +2,13 @@
 
 The lifecycle state machine is checked two ways: direct example tests for
 every documented transition, and a hypothesis rule-based machine that
-replays random operation sequences against an independently written
-model (plain dict scans, no shared code) and demands identical statuses,
-occupancy, eviction choices, and surviving objects.
+replays random operation sequences from a few sessions against an
+independently written model (plain dict scans, no shared code) and
+demands identical statuses, occupancy, dead objects, pin counts, and
+surviving objects.
 """
 
+import contextlib
 import gc
 import os
 import random
@@ -56,62 +58,61 @@ def oid_of(byte: int) -> bytes:
 def test_create_seal_get_release_happy_path():
     s = StoreState(1000)
     a = oid_of(1)
-    assert s.create(a, 100).status is Status.OK
+    assert s.create("w", a, 100) is Status.OK
     assert s.occupancy == 100
-    assert s.seal(a) is Status.OK
-    status, size = s.get(a)
+    assert s.seal("w", a) is Status.OK
+    status, size = s.get("r", a)
     assert (status, size) == (Status.OK, 100)
-    assert s.release(a) is Status.OK
+    assert s.release("r", a) is Status.OK
     assert s.counters.creates == 1
     assert s.counters.gets == 1
 
 
 def test_duplicate_create_rejected():
     s = StoreState(1000)
-    s.create(oid_of(1), 10)
-    assert s.create(oid_of(1), 10).status is Status.DUPLICATE_ID
+    s.create("w", oid_of(1), 10)
+    assert s.create("w", oid_of(1), 10) is Status.DUPLICATE_ID
 
 
 def test_double_seal_rejected():
     s = StoreState(1000)
-    s.create(oid_of(1), 10)
-    assert s.seal(oid_of(1)) is Status.OK
-    assert s.seal(oid_of(1)) is Status.ALREADY_SEALED
+    s.create("w", oid_of(1), 10)
+    assert s.seal("w", oid_of(1)) is Status.OK
+    assert s.seal("w", oid_of(1)) is Status.ALREADY_SEALED
 
 
 def test_get_before_seal_is_not_sealed():
     s = StoreState(1000)
-    s.create(oid_of(1), 10)
-    assert s.get(oid_of(1)) == (Status.NOT_SEALED, 0)
-    assert s.get(oid_of(9)) == (Status.UNKNOWN_ID, 0)  # never created
+    s.create("w", oid_of(1), 10)
+    assert s.get("r", oid_of(1)) == (Status.NOT_SEALED, 0)
+    assert s.get("r", oid_of(9)) == (Status.UNKNOWN_ID, 0)  # never created
     assert s.counters.gets == 0
 
 
 def test_release_without_reference_rejected():
     s = StoreState(1000)
-    s.create(oid_of(1), 10)
-    s.seal(oid_of(1))
-    assert s.release(oid_of(1)) is Status.NO_REFS
-    assert s.release(oid_of(9)) is Status.UNKNOWN_ID
+    s.create("w", oid_of(1), 10)
+    s.seal("w", oid_of(1))
+    assert s.release("r", oid_of(1)) is Status.NO_REFS
+    assert s.release("r", oid_of(9)) is Status.UNKNOWN_ID
 
 
 def test_reject_nonpositive_and_oversized():
     s = StoreState(1000)
-    assert s.create(oid_of(1), 0).status is Status.BAD_REQUEST
-    assert s.create(oid_of(1), -5).status is Status.BAD_REQUEST
-    assert s.create(oid_of(1), 1001).status is Status.TOO_LARGE
+    assert s.create("w", oid_of(1), 0) is Status.BAD_REQUEST
+    assert s.create("w", oid_of(1), -5) is Status.BAD_REQUEST
+    assert s.create("w", oid_of(1), 1001) is Status.TOO_LARGE
 
 
 def test_lru_eviction_takes_oldest_idle_objects():
     s = StoreState(1000)
     a, b, c = oid_of(1), oid_of(2), oid_of(3)
-    s.create(a, 400)
-    s.seal(a)
-    s.create(b, 400)
-    s.seal(b)
-    result = s.create(c, 900)
-    assert result.status is Status.OK
-    assert result.evicted == (a, b)  # oldest first, both needed
+    s.create("w", a, 400)
+    s.seal("w", a)
+    s.create("w", b, 400)
+    s.seal("w", b)
+    assert s.create("w", c, 900) is Status.OK
+    assert s.take_dead() == [a, b]  # oldest first, both needed
     assert s.occupancy == 900
     assert a not in s and b not in s and c in s
 
@@ -119,65 +120,67 @@ def test_lru_eviction_takes_oldest_idle_objects():
 def test_pinned_and_unsealed_objects_are_not_evictable():
     s = StoreState(1000)
     a, b, c = oid_of(1), oid_of(2), oid_of(3)
-    s.create(a, 400)
-    s.seal(a)
-    s.get(a)  # pinned
-    s.create(b, 400)  # unsealed
-    assert s.create(c, 900).status is Status.STORE_FULL
+    s.create("w", a, 400)
+    s.seal("w", a)
+    s.get("r", a)  # pinned
+    s.create("w", b, 400)  # unsealed
+    assert s.create("w", c, 900) is Status.STORE_FULL
     assert a in s and b in s
-    s.release(a)
-    assert s.create(c, 500).status is Status.OK  # now a is fair game
+    s.release("r", a)
+    assert s.create("w", c, 500) is Status.OK  # now a is fair game
     assert a not in s
 
 
 def test_object_retires_after_its_last_expected_read():
     s = StoreState(1000)
     a = oid_of(1)
-    s.create(a, 100)
-    assert s.seal(a, reads=2) is Status.OK
-    s.get(a)
-    s.get(a)
-    assert s.release(a, unmapped=True) is Status.OK
+    s.create("w", a, 100)
+    assert s.seal("w", a, reads=2) is Status.OK
+    s.get("r", a)
+    s.get("r", a)
+    assert s.release("r", a, unmapped=True) is Status.OK
     assert a in s  # the other reader still pins it
-    assert s.release(a, unmapped=True) is Status.OK
-    assert a not in s and s.occupancy == 0
+    assert s.release("r", a, unmapped=True) is Status.OK
+    assert a not in s and s.occupancy == 0 and s.take_dead() == [a]
     assert s.counters.recycled == 1 and s.counters.evictions == 0
 
 
 def test_a_kept_view_leaves_the_object_cached():
     s = StoreState(1000)
     a, b = oid_of(1), oid_of(2)
-    s.create(a, 400)
-    s.seal(a, reads=2)
-    s.get(a)
-    s.release(a, unmapped=False)  # this reader still holds a view
-    s.get(a)
-    s.release(a, unmapped=True)
+    s.create("w", a, 400)
+    s.seal("w", a, reads=2)
+    s.get("r", a)
+    s.release("r", a, unmapped=False)  # this reader still holds a view
+    s.get("r", a)
+    s.release("r", a, unmapped=True)
     assert a in s and s.counters.recycled == 0
-    assert s.create(b, 700).evicted == (a,)  # left to LRU eviction
+    assert s.create("w", b, 700) is Status.OK
+    assert s.take_dead() == [a]  # left to LRU eviction
 
 
 def test_a_reader_that_never_gets_leaves_the_object_to_eviction():
     s = StoreState(1000)
     a, b = oid_of(1), oid_of(2)
-    s.create(a, 400)
-    s.seal(a, reads=2)
-    s.get(a)
-    s.release(a, unmapped=True)
+    s.create("w", a, 400)
+    s.seal("w", a, reads=2)
+    s.get("r", a)
+    s.release("r", a, unmapped=True)
     assert a in s and s.counters.recycled == 0
-    assert s.create(b, 700).evicted == (a,)
+    assert s.create("w", b, 700) is Status.OK
+    assert s.take_dead() == [a]
 
 
 def test_unknown_reads_cache_the_object_as_before():
     s = StoreState(1000)
     a = oid_of(1)
-    s.create(a, 100)
-    s.seal(a)  # reads=0: unknown
+    s.create("w", a, 100)
+    s.seal("w", a)  # reads=0: unknown
     for _ in range(3):
-        s.get(a)
-        s.release(a, unmapped=True)
+        s.get("r", a)
+        s.release("r", a, unmapped=True)
     assert a in s and s.counters.recycled == 0
-    assert s.evict(100) == (100, (a,))
+    assert s.evict(100) == 100 and s.take_dead() == [a]
 
 
 # -- model-based lifecycle ----------------------------------------------------
@@ -188,82 +191,111 @@ class _Model:
 
     def __init__(self, capacity):
         self.capacity = capacity
-        # oid -> [size, sealed, refs, stamp, declared reads, gets, view kept]
+        # oid -> [size, sealed, stamp, declared reads, gets, view kept, creator]
         self.objects = {}
+        # (oid, session) -> pins that session holds; never 0
+        self.pins = {}
         self.clock = 0
         self.recycled = 0
+        self.releases = 0
+        self.dead = []
 
     def _stamp(self, oid):
         self.clock += 1
-        self.objects[oid][3] = self.clock
+        self.objects[oid][2] = self.clock
+
+    def _kill(self, oid):
+        del self.objects[oid]
+        self.dead.append(oid)
+
+    def refs(self, oid):
+        return sum(n for (o, _), n in self.pins.items() if o == oid)
+
+    def holders(self, oid):
+        return sorted(s for (o, s) in self.pins if o == oid)
 
     def occupancy(self):
         return sum(o[0] for o in self.objects.values())
 
+    def take_dead(self):
+        dead, self.dead = self.dead, []
+        return dead
+
     def evict(self, needed):
         idle = sorted(
-            (o for o in self.objects.items() if o[1][1] and o[1][2] == 0),
-            key=lambda kv: kv[1][3],
+            (o for o in self.objects.items() if o[1][1] and self.refs(o[0]) == 0),
+            key=lambda kv: kv[1][2],
         )
-        out = []
         freed = 0
         for oid, (size, *_rest) in idle:
             if freed >= needed:
                 break
-            del self.objects[oid]
+            self._kill(oid)
             freed += size
-            out.append(oid)
-        return out
 
-    def create(self, oid, size):
+    def create(self, session, oid, size):
         if size <= 0:
-            return Status.BAD_REQUEST, []
+            return Status.BAD_REQUEST
         if oid in self.objects:
-            return Status.DUPLICATE_ID, []
+            return Status.DUPLICATE_ID
         if size > self.capacity:
-            return Status.TOO_LARGE, []
-        evicted = []
+            return Status.TOO_LARGE
         if self.capacity - self.occupancy() < size:
-            evicted = self.evict(size - (self.capacity - self.occupancy()))
+            self.evict(size - (self.capacity - self.occupancy()))
             if self.capacity - self.occupancy() < size:
-                return Status.STORE_FULL, evicted
-        self.objects[oid] = [size, False, 0, 0, 0, 0, False]
+                return Status.STORE_FULL
+        self.objects[oid] = [size, False, 0, 0, 0, False, session]
         self._stamp(oid)
-        return Status.OK, evicted
+        return Status.OK
 
-    def seal(self, oid, reads):
+    def seal(self, session, oid, reads):
         if oid not in self.objects:
             return Status.UNKNOWN_ID
         if self.objects[oid][1]:
             return Status.ALREADY_SEALED
+        if self.objects[oid][6] != session:
+            return Status.BAD_REQUEST
         self.objects[oid][1] = True
-        self.objects[oid][4] = reads
+        self.objects[oid][3] = reads
         self._stamp(oid)
         return Status.OK
 
-    def get(self, oid):
+    def get(self, session, oid):
         if oid not in self.objects:
             return Status.UNKNOWN_ID
         if not self.objects[oid][1]:
             return Status.NOT_SEALED
-        self.objects[oid][2] += 1
-        self.objects[oid][5] += 1
+        self.pins[oid, session] = self.pins.get((oid, session), 0) + 1
+        self.objects[oid][4] += 1
         self._stamp(oid)
         return Status.OK
 
-    def release(self, oid, unmapped):
+    def release(self, session, oid, unmapped):
         if oid not in self.objects:
             return Status.UNKNOWN_ID
-        obj = self.objects[oid]
-        if obj[2] == 0:
+        if (oid, session) not in self.pins:
             return Status.NO_REFS
-        obj[2] -= 1
-        obj[6] = obj[6] or not unmapped
-        declared, gets, kept = obj[4], obj[5], obj[6]
-        if declared > 0 and gets >= declared and obj[2] == 0 and not kept:
-            del self.objects[oid]
+        self.pins[oid, session] -= 1
+        if self.pins[oid, session] == 0:
+            del self.pins[oid, session]
+        self.releases += 1
+        obj = self.objects[oid]
+        obj[5] = obj[5] or not unmapped
+        declared, gets, kept = obj[3], obj[4], obj[5]
+        if declared > 0 and gets >= declared and self.refs(oid) == 0 and not kept:
+            self._kill(oid)
             self.recycled += 1
         return Status.OK
+
+    def end(self, session):
+        for (oid, holder), held in sorted(self.pins.items()):
+            if holder == session:
+                del self.pins[oid, holder]
+                self.releases += held
+                self.objects[oid][5] = True  # released as with a view left
+        unsealed = [o for o, v in self.objects.items() if not v[1] and v[6] == session]
+        for oid in sorted(unsealed, key=lambda o: self.objects[o][2]):
+            self._kill(oid)
 
 
 class StoreLifecycleMachine(RuleBasedStateMachine):
@@ -275,6 +307,7 @@ class StoreLifecycleMachine(RuleBasedStateMachine):
         self.model = _Model(self.CAPACITY)
 
     ids = st.sampled_from([oid_of(i) for i in range(1, 7)])
+    sessions = st.sampled_from(["a", "b", "c"])
     # Half the sizes let several objects live at once; the rest cover bad,
     # oversized and evicting creates.
     sizes = st.integers(min_value=1, max_value=400) | st.integers(
@@ -283,41 +316,61 @@ class StoreLifecycleMachine(RuleBasedStateMachine):
 
     # One rule picks the operation: with a rule per operation, hypothesis
     # enables only some of them in each run, and runs without creates, or
-    # without releases, never reach pins, retirement or kept views.
-    @rule(data=st.data(), op=st.sampled_from(["create", "seal", "get", "release"]))
+    # without releases, never reach pins, retirement or kept views.  A
+    # session ends at one step in nine, so pins live long enough to retire
+    # objects.
+    @rule(
+        data=st.data(),
+        op=st.sampled_from(["create", "seal", "get", "release"] * 2 + ["end"]),
+    )
     def step(self, data, op):
+        objects = self.model.objects
         if op == "create":
-            oid, size = data.draw(self.ids), data.draw(self.sizes)
-            result = self.real.create(oid, size)
-            status, evicted = self.model.create(oid, size)
-            assert result.status is status
-            assert list(result.evicted) == evicted
+            session, oid = data.draw(self.sessions), data.draw(self.ids)
+            size = data.draw(self.sizes)
+            status = self.model.create(session, oid, size)
+            assert self.real.create(session, oid, size) is status
         elif op == "seal":
-            oid, reads = self._target(data, 1, False), data.draw(st.integers(0, 3))
-            assert self.real.seal(oid, reads) is self.model.seal(oid, reads)
+            oid = self._target(data, [o for o, v in objects.items() if not v[1]])
+            session = self._session(data, [objects[oid][6]] if oid in objects else [])
+            reads = data.draw(st.integers(0, 3))
+            assert self.real.seal(session, oid, reads) is self.model.seal(session, oid, reads)
         elif op == "get":
-            oid = self._target(data, 1, True)
-            real_status, _ = self.real.get(oid)
-            assert real_status is self.model.get(oid)
+            oid = self._target(data, [o for o, v in objects.items() if v[1]])
+            session = data.draw(self.sessions)
+            real_status, _ = self.real.get(session, oid)
+            assert real_status is self.model.get(session, oid)
+        elif op == "release":
+            oid = self._target(data, [o for o in objects if self.model.refs(o)])
+            session = self._session(data, self.model.holders(oid))
+            unmapped = data.draw(st.booleans())
+            status = self.model.release(session, oid, unmapped)
+            assert self.real.release(session, oid, unmapped) is status
         else:
-            oid, unmapped = self._target(data, 2, True), data.draw(st.booleans())
-            assert self.real.release(oid, unmapped) is self.model.release(oid, unmapped)
+            session = data.draw(self.sessions)
+            self.real.end(session)
+            self.model.end(session)
+        assert self.real.take_dead() == self.model.take_dead()
 
-    def _target(self, data, field, want):
-        """Mostly an object whose model ``field`` is ``want``: unsealed
-        for a seal, sealed for a get, pinned for a release; sometimes any
-        id."""
-        fit = sorted(o for o, v in self.model.objects.items() if bool(v[field]) is want)
-        return data.draw(st.sampled_from(fit) | self.ids if fit else self.ids)
+    def _target(self, data, fit):
+        """Mostly an id from ``fit``: unsealed for a seal, sealed for a
+        get, pinned for a release; sometimes any id."""
+        return data.draw(st.sampled_from(sorted(fit)) | self.ids if fit else self.ids)
+
+    def _session(self, data, fit):
+        """Mostly a session from ``fit``: the creator for a seal, a holder
+        for a release; sometimes any session."""
+        return data.draw(st.sampled_from(fit) | self.sessions if fit else self.sessions)
 
     @invariant()
     def same_objects_and_occupancy(self):
         assert self.real.occupancy == self.model.occupancy()
         assert self.real.occupancy <= self.CAPACITY
-        for oid, (size, sealed, refs, *_rest) in self.model.objects.items():
-            assert self.real.describe(oid) == (size, sealed, refs)
+        for oid, (size, sealed, *_rest) in self.model.objects.items():
+            assert self.real.describe(oid) == (size, sealed, self.model.refs(oid))
         assert len(self.model.objects) == self.real.stats()["objects"]
         assert self.real.counters.recycled == self.model.recycled
+        assert self.real.counters.releases == self.model.releases
 
 
 TestStoreLifecycleMachine = StoreLifecycleMachine.TestCase
@@ -489,8 +542,7 @@ def test_disconnect_releases_pins_and_unsealed_creations(store):
     with StoreClient(store.socket_path) as client:
         stats = client.stats()
         assert stats["objects"] == 1  # the unsealed one is gone
-        freed, _ = store.state.evict(1024)
-        assert freed == 1024  # the pin was dropped, so a is evictable
+        assert store.state.evict(1024) == 1024  # the pin was dropped, so a is evictable
     unsealed.close()
 
 
@@ -542,6 +594,87 @@ def test_truncated_store_object_is_a_format_error(store):
         with client.get(obj.oid) as sealed:
             with pytest.raises(PayloadFormatError, match="truncated"):
                 decode_payload(sealed.view)
+
+
+# -- each session owns its pins and its creations ----------------------------------
+
+
+def test_a_session_cannot_release_a_pin_it_does_not_hold(store):
+    with StoreClient(store.socket_path) as a, StoreClient(store.socket_path) as b:
+        oid = a.put(4096, [(0, b"A" * 4096)], reads=1)
+        with a.get(oid):
+            with pytest.raises(StoreError) as err:
+                b.release(oid, unmapped=True)
+            assert err.value.status is Status.NO_REFS
+            assert store.state.describe(oid) == (4096, True, 1)
+        assert a.stats()["recycled"] == 1  # its own release retired it
+
+
+def test_a_pinned_view_keeps_its_bytes_after_another_session_creates(store):
+    """Another session's release of the holder's pin would retire the
+    object, and a third session's create of the same size would take its
+    segment and overwrite the holder's view."""
+    with StoreClient(store.socket_path) as a, StoreClient(
+        store.socket_path
+    ) as b, StoreClient(store.socket_path) as c:
+        oid = a.put(4096, [(0, b"A" * 4096)], reads=1)
+        held = a.get(oid)
+        with contextlib.suppress(StoreError):
+            b.release(oid, unmapped=True)
+        other = c.create(4096)
+        other.write(0, b"C" * 4096)
+        other.close()
+        assert held.view[:4].tobytes() == b"AAAA"
+        held.release()
+
+
+def test_a_session_cannot_seal_an_object_another_created(store):
+    with StoreClient(store.socket_path) as a, StoreClient(store.socket_path) as b:
+        obj = a.create(4096)
+        with pytest.raises(StoreError) as err:
+            b.seal(obj.oid)
+        assert err.value.status is Status.BAD_REQUEST
+        obj.write(0, b"A" * 4096)  # still writable by its creator
+        obj.close()
+        obj.seal()
+        with b.get(obj.oid) as sealed:
+            assert sealed.view.tobytes() == b"A" * 4096
+
+
+def test_a_session_that_ends_gives_up_only_what_it_held(store):
+    """B's end releases B's pins on an object A also pins, as releases
+    that left a view open, and drops B's unsealed creation only."""
+    with StoreClient(store.socket_path) as a:
+        b = StoreClient(store.socket_path)
+        shared = a.put(4096, [(0, b"S" * 4096)], reads=3)
+        inode = os.fstat(store._segments[shared][1]).st_ino
+        held = a.get(shared)
+        for _ in range(2):
+            b.get(shared)  # pins B never releases
+        kept = b.put(4096, [(0, b"B" * 4096)])  # sealed: outlives B
+        b_open = b.create(8192)
+        a_open = a.create(8192)
+        before = a.stats()
+        b.close()
+        deadline = time.monotonic() + 5
+        while a.stats()["objects"] == before["objects"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        after = a.stats()
+        assert after["objects"] == before["objects"] - 1
+        assert after["releases"] == before["releases"] + 2
+        assert store.state.describe(shared) == (4096, True, 1)  # A's pin
+        assert kept in store.state and a_open.oid in store.state
+        assert b_open.oid not in store.state
+        assert [size for size, _ in store._pool] == [8192]
+        assert held.view.tobytes() == b"S" * 4096
+        held.release()
+        # B's pins left views open, so the object stays cached.
+        assert os.fstat(store._segments[shared][1]).st_ino == inode
+        stats = a.stats()
+        assert stats["recycled"] == 0
+        assert stats["gets"] == stats["releases"] == 3
+        a_open.close()
+        b_open.close()
 
 
 # -- segments handed out by descriptor -----------------------------------------
