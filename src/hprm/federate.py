@@ -34,18 +34,22 @@ federate replies and starts nothing past it until the stop tag arrives.
 
 One event loop on the thread that calls :meth:`Federate.run` serves the
 listener, the coordinator and every peer; the gate's wait is its
-``select`` timeout.  Before it runs a head whose gate is open it reads
-what is ready, so input for an earlier tag runs first.  Frames are
-queued as read and dispatched in that order, between reactions or while
-a publish waits for acknowledgements.  While the head waits for the
-clock, and as the loop reads just before it runs, data for later tags
-stays queued unless input for the head's tag or an earlier one was read
-after it (see :mod:`hprm.loop`), so a slow reader does not pin store
-objects far ahead of the events it runs.  A send that fills a peer's
-socket buffer keeps reading until the rest fits, so peers that send
-each other large frames never wait on each other.  Peers on one host
-use Unix sockets, other peers and the coordinator TCP.  Only
-``request_stop`` may be called from another thread.
+``select`` timeout.  Before it runs a head whose gate is open it serves
+the loop once without waiting, dispatching what is queued and then what
+is ready, so input for an earlier tag runs first.  Frames are queued as
+read and dispatched in that order, between reactions or while a publish
+waits for acknowledgements.  While the head waits for the clock, and as
+the loop serves just before it runs, data for later tags stays queued
+unless input for the head's tag or an earlier one was read after it
+(see :mod:`hprm.loop`), so a slow reader does not pin store objects far
+ahead of the events it runs.  A send that fills a peer's socket buffer
+keeps reading until the rest fits, so peers that send each other large
+frames never wait on each other.  Peers on one host use Unix sockets,
+other peers and the coordinator TCP.  An inbound connection counts as an
+upstream's once its first frame is the hello of an upstream not yet
+connected, and the listener closes once every upstream has said hello.
+Every send but a publish's is best-effort: a lost connection shows on
+the read side.  Only ``request_stop`` may be called from another thread.
 
 Physical time comes only from the ``clock`` and inbound connections only
 from the ``listener``, both constructor seams: tests drive the gates
@@ -120,6 +124,14 @@ class OrderingFault(FederateError):
 
 class DeliveryError(FederateError):
     """A published value could not be handed to a peer."""
+
+
+def _send(conn: FrameConnection, frame: Frame) -> None:
+    """Send with no error: a lost connection shows on the read side."""
+    try:
+        conn.send_frame(frame)
+    except (TransportError, OSError):
+        pass
 
 
 @dataclass(frozen=True)
@@ -267,7 +279,8 @@ class Federate:
         self._reactions: dict[str, list[Reaction]] = {}
         self._rti: FrameConnection | None = None
         self._peers_out: dict[str, FrameConnection] = {}
-        self._peers_in: list[FrameConnection] = []
+        self._peers_in: list[FrameConnection] = []  # every one accepted
+        self._greeted: set[str] = set()  # upstreams that have said hello
         self._loop = FrameLoop()
         self._store: StoreClient | None = None  # publishes, gets and releases
         self._pin_budget = 0  # bytes queued events may pin; see _dispatch_peer_frame
@@ -309,11 +322,7 @@ class Federate:
             raise ValueError(
                 f"tag {tag!r} is not after the current tag {self._current!r}"
             )
-        if (
-            self.config.mode == CENTRALIZED
-            and self._announced is not None
-            and tag < self._announced
-        ):
+        if self._announced is not None and tag < self._announced:
             # Progress already promised past this tag; accepting it
             # would make the next announcement go backwards.
             raise ValueError(
@@ -461,9 +470,6 @@ class Federate:
 
     def _accept(self, conn: FrameConnection) -> Link:
         self._peers_in.append(conn)
-        if len(self._peers_in) == len(self._upstream):
-            self._loop.unwatch(self._listener)
-            self._listener.close()
         return self._loop.watch(conn, self._from_upstream)
 
     def _from_rti(self, link: Link, item: Frame | BaseException | None) -> None:
@@ -477,10 +483,8 @@ class Federate:
             # The stop round asks for the largest tag started; past it,
             # nothing starts until the stop tag arrives (see _head).
             self._stop_reply = self._current
-            try:
-                self._rti.send_frame(Frame(FrameType.STOP, self._current))
-            except (TransportError, OSError):
-                pass  # the coordinator counts a closed session as a reply
+            # The coordinator counts a closed session as a reply.
+            _send(self._rti, Frame(FrameType.STOP, self._current))
 
     def _from_downstream(self, link: Link, item: Frame | BaseException | None) -> None:
         if not isinstance(item, Frame):
@@ -491,11 +495,19 @@ class Federate:
     def _from_upstream(self, link: Link, item: Frame | BaseException | None) -> None:
         if link.peer is None:
             try:
-                link.peer = json.loads(item.body.decode())["fid"]
+                fid = json.loads(item.body.decode())["fid"]
             except (ValueError, AttributeError, KeyError, TypeError):
-                link.done = True  # not a peer's hello
+                fid = None
+            if fid not in self._upstream or fid in self._greeted:
+                link.done = True  # not the hello of an upstream still to come
                 self._loop.unwatch(link.conn)
                 link.conn.close()
+                return
+            link.peer = fid
+            self._greeted.add(fid)
+            if len(self._greeted) == len(self._upstream):
+                self._loop.unwatch(self._listener)
+                self._listener.close()
             return
         src = link.peer
         if isinstance(item, Frame):
@@ -538,10 +550,7 @@ class Federate:
                     f"object {oid.hex()[:12]} from {src!r} could not be read: {exc}"
                 )
                 return
-            try:
-                conn.send_frame(Frame(FrameType.OBJ_ACK, frame.tag))
-            except (TransportError, OSError):
-                pass  # the publisher has gone and needs no more credit
+            _send(conn, Frame(FrameType.OBJ_ACK, frame.tag))
             view = sealed.view
             if self._pinned_bytes + sealed.size > self._pin_budget:
                 # Queued events already pin half the store: copy this
@@ -616,10 +625,7 @@ class Federate:
                 )
             self._announced = promise
             for conn in self._peers_out.values():
-                try:
-                    conn.send_frame(Frame(FrameType.NET, promise))
-                except (TransportError, OSError):
-                    pass
+                _send(conn, Frame(FrameType.NET, promise))
         idle = not self._queue and not self._executing and not self._violations
         if force or (idle and promise != self._reported):
             self._reported = promise
@@ -629,10 +635,7 @@ class Federate:
         body = encode_progress(
             idle, self.messages_sent, self.messages_received, self._completed
         )
-        try:
-            self._rti.send_frame(Frame(FrameType.NET, promise, body=body))
-        except (TransportError, OSError):
-            pass
+        _send(self._rti, Frame(FrameType.NET, promise, body=body))
 
     # -- the executor ---------------------------------------------------------------------
 
@@ -730,14 +733,13 @@ class Federate:
                         else:
                             # First take what has arrived: input for this
                             # tag or an earlier one runs first.
-                            self._loop.poll(head.tag)
+                            self._loop.serve(0, head.tag)
                             polled = True
                         continue
                     if wait_ns:
-                        timeout = wait_ns / 1e9
-                    if self.config.mode == DECENTRALIZED or self._floor() > head.tag:
                         # It waits for the clock, which no held frame
                         # brings: data for later tags waits too.
+                        timeout = wait_ns / 1e9
                         hold = head.tag
                 else:
                     self._drain_deadline_ns = None
@@ -845,10 +847,7 @@ class Federate:
         rti = self._rti
         if rti is None:
             raise FederateError("no stop can be requested before joining")
-        try:
-            rti.send_frame(Frame(FrameType.STOP, FOREVER))
-        except (TransportError, OSError):
-            pass
+        _send(rti, Frame(FrameType.STOP, FOREVER))
 
     def _shutdown(self, status: str) -> None:
         self._finished = True
@@ -862,10 +861,7 @@ class Federate:
             if self.config.mode == CENTRALIZED and self._started:
                 # The last counts: what arrived and never ran is received.
                 self._report(FOREVER, True)
-            try:
-                self._rti.send_frame(Frame(FrameType.RESIGN, Tag(0, 0)))
-            except (TransportError, OSError):
-                pass
+            _send(self._rti, Frame(FrameType.RESIGN, Tag(0, 0)))
             self._rti.close()
         for conn in self._peers_out.values():
             conn.close()

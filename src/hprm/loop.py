@@ -17,14 +17,14 @@ may hold frames back.  With ``hold=h``, a tag, every frame through the
 last data frame for ``h`` or an earlier tag is dispatched, and after it
 each connection's frames stay queued from its first data frame tagged
 after ``h`` on.  A federate holds while its event at ``h`` waits for the
-clock, and when it reads just before the event runs
-(:meth:`FrameLoop.poll`), so a reader slower than its publisher does not
-fetch, and pin, a store object for every reference it has read ahead of
-the events it runs.  It does not hold while it waits on input: a held
-frame may be what it waits for, since tags need not rise along a
-connection (two edges between the same federates may have different
-delays).  Nor while a stop round keeps its head back: it waits for the
-stop tag, on the coordinator's connection, which carries no data.
+clock, and when it reads just before the event runs (``serve(0, h)``),
+so a reader slower than its publisher does not fetch, and pin, a store
+object for every reference it has read ahead of the events it runs.  It
+does not hold while it waits on input: a held frame may be what it
+waits for, since tags need not rise along a connection (two edges
+between the same federates may have different delays).  Nor while a
+stop round keeps its head back: it waits for the stop tag, on the
+coordinator's connection, which carries no data.
 """
 
 from __future__ import annotations
@@ -116,12 +116,6 @@ class FrameLoop:
         dispatched = self._dispatch(hold)
         self._select(0 if dispatched else timeout)
         self._dispatch(hold)
-
-    def poll(self, tag: Tag) -> None:
-        """Read what is ready without waiting and dispatch it, holding
-        back what ``hold=tag`` keeps."""
-        self._select(0)
-        self._dispatch(tag)
 
     def _dispatch(self, hold: Tag | None = None) -> bool:
         """Hand the queued frames to their handlers in the order read;

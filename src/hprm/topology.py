@@ -7,18 +7,21 @@ by the coordination daemon (for its roster) and by federates (to route
 published values and bound what can still arrive), so it can be serialized
 to JSON and passed around as a file.
 
-Validation rejects graphs the runtime cannot execute: connections that
-reference unknown federates and cycles whose total logical delay is zero
+:meth:`Topology.build` rejects graphs the runtime cannot execute, with one
+:class:`TopologyError` that names every violation: connections that
+reference unknown federates, and cycles whose total logical delay is zero
 (those admit no tag-ordered schedule; cycles broken by a positive delay
-are fine).
+are fine).  The cycle check is the standard library's topological sort
+over the zero-delay edges.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from hprm.tags import NO_DELAY, Delay
 
@@ -36,21 +39,6 @@ class Connection:
     dst: str
     dst_port: str
     delay: Delay = NO_DELAY
-
-
-@dataclass(frozen=True, slots=True)
-class TopologyViolation:
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True, slots=True)
-class TopologyReport:
-    violations: tuple[TopologyViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -73,13 +61,30 @@ class Topology:
     def build(
         cls, federates: Iterable[str], connections: Iterable[Connection] = ()
     ) -> "Topology":
-        """A validated topology; raises TopologyError for any violation."""
+        """A validated topology; raises one TopologyError that names every
+        violation."""
         topo = cls(tuple(sorted(set(federates))), tuple(sorted(connections)))
-        report = validate_topology(topo)
-        if not report.ok:
-            raise TopologyError(
-                "; ".join(f"{v.kind}: {v.detail}" for v in report.violations)
+        # Each federate's zero-delay predecessors: a cycle then comes out
+        # of CycleError in edge order.
+        preds: dict[str, list[str]] = {f: [] for f in topo.federates}
+        violations = [
+            f"unknown-endpoint: connection {c.src}.{c.src_port}->{c.dst}.{c.dst_port} "
+            f"references undeclared federate {endpoint!r}"
+            for c in topo.connections
+            for endpoint in (c.src, c.dst)
+            if endpoint not in preds
+        ]
+        for c in topo.connections:
+            if c.delay.nanos == 0 and c.src in preds and c.dst in preds:
+                preds[c.dst].append(c.src)
+        try:
+            TopologicalSorter(preds).prepare()
+        except CycleError as exc:
+            violations.append(
+                "zero-delay-cycle: zero-delay cycle through " + " -> ".join(exc.args[1])
             )
+        if violations:
+            raise TopologyError("; ".join(violations))
         return topo
 
     def __post_init__(self) -> None:
@@ -151,62 +156,3 @@ class Topology:
     def load(cls, path: str | Path) -> "Topology":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-
-def _find_zero_delay_cycle(topo: Topology) -> list[str] | None:
-    """Iterative tri-color DFS over the zero-delay subgraph.
-
-    Returns one offending node sequence (closed walk) or None.
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {f: WHITE for f in topo.federates}
-    zero_out: dict[str, list[str]] = {f: [] for f in topo.federates}
-    for c in topo.connections:
-        if c.delay.nanos == 0 and c.src in zero_out and c.dst in color:
-            zero_out[c.src].append(c.dst)
-    for root in topo.federates:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        path = [root]
-        color[root] = GRAY
-        while stack:
-            node, i = stack[-1]
-            if i < len(zero_out[node]):
-                stack[-1] = (node, i + 1)
-                nxt = zero_out[node][i]
-                if color[nxt] == GRAY:
-                    return path[path.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
-
-
-def validate_topology(topo: Topology) -> TopologyReport:
-    """Check a graph for conditions the runtime cannot execute."""
-    violations: list[TopologyViolation] = []
-    known = set(topo.federates)
-    for c in topo.connections:
-        for endpoint in (c.src, c.dst):
-            if endpoint not in known:
-                violations.append(
-                    TopologyViolation(
-                        "unknown-endpoint",
-                        f"connection {c.src}.{c.src_port}->{c.dst}.{c.dst_port} "
-                        f"references undeclared federate {endpoint!r}",
-                    )
-                )
-    cycle = _find_zero_delay_cycle(topo)
-    if cycle is not None:
-        violations.append(
-            TopologyViolation(
-                "zero-delay-cycle",
-                "zero-delay cycle through " + " -> ".join(cycle),
-            )
-        )
-    return TopologyReport(tuple(violations))

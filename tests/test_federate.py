@@ -40,6 +40,8 @@ from hprm.transport import (
     FrameConnection,
     FrameListener,
     FrameType,
+    connect,
+    listen,
 )
 
 MS = 1_000_000
@@ -1171,6 +1173,61 @@ def test_large_eager_buffer_carries_a_large_payload_inline():
     )
     assert all(isinstance(r, RunSummary) for r in results.values()), results
     assert len(got) == 1 and got[0].shape == (2**17,) and (got[0] == 3.0).all()
+
+
+def test_a_stray_connection_takes_no_upstreams_place():
+    """A connection to b's listener that sends nothing, open before the
+    run starts, leaves the listener open for a: a's message is delivered
+    and the federation stops in bounded time."""
+    topo = pipeline("a", "b")
+    listener = listen("127.0.0.1")
+    stray = connect(listener.address)
+    a = Federate(FederateConfig(fid="a"), topo)
+    b = Federate(FederateConfig(fid="b"), topo, listener=listener)
+    got = []
+    a.on("tick", lambda ctx: ctx.publish("out", ctx.value))
+    b.on("in", lambda ctx: got.append(ctx.value))
+    t0 = time.monotonic()
+    try:
+        results = run_federation(
+            topo, [a, b],
+            lambda f, s: schedule_ramp(f, s, 1) if f.fid == "a" else None,
+            timeout=10,
+        )
+    finally:
+        stray.close()
+    assert all(isinstance(r, RunSummary) for r in results.values()), results
+    assert got == [0]
+    assert time.monotonic() - t0 < 5
+
+
+def test_only_the_first_hello_of_each_upstream_is_taken():
+    """An inbound connection whose first frame is not the hello of an
+    upstream still to connect is ended, and the listener closes once
+    every upstream has said hello."""
+    topo = Topology.build(
+        ["a", "b", "sub"],
+        [Connection("a", "out", "sub", "in"), Connection("b", "out", "sub", "in")],
+    )
+    sub = Federate(FederateConfig(fid="sub"), topo, listener=listen("127.0.0.1"))
+
+    def hello(fid):
+        return Frame(FrameType.JOIN, Tag(0, 0), body=f'{{"fid": "{fid}"}}'.encode())
+
+    links, open_after = [], []
+    not_a_hello = Frame(FrameType.NET, Tag(0, 0))
+    for first in (hello("sub"), not_a_hello, hello("a"), hello("a"), hello("b")):
+        ours, theirs = socket.socketpair()
+        theirs.close()
+        link = hprm.loop.Link(FrameConnection(ours), sub._from_upstream)
+        link.handle(link, first)
+        links.append(link)
+        open_after.append(sub._listener.fileno() != -1)
+    assert [link.peer for link in links] == [None, None, "a", None, "b"]
+    assert [link.done for link in links] == [True, True, False, True, False]
+    assert open_after == [True, True, True, True, False]
+    for link in links:
+        link.conn.close()
 
 
 def test_malformed_obj_ref_ends_the_inbound_connection(caplog):

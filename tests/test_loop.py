@@ -80,7 +80,7 @@ def test_no_hold_dispatches_everything_in_read_order(loop):
 def test_hold_dispatches_through_the_last_data_frame_at_or_below_it(loop):
     """Frames read before that data frame go out, later-tagged ones too."""
     loop.read(("a", data(7)), ("b", net(3)), ("a", data(5)), ("b", data(9)))
-    loop.loop.poll(Tag(5, 0))
+    loop.loop.serve(0, Tag(5, 0))
     assert loop.got == [
         ("a", "TAGGED_MSG", 7),
         ("b", "NET", 3),
@@ -103,7 +103,7 @@ def test_hold_keeps_a_link_from_its_first_later_data_frame(loop):
         ("b", data(7)),
         ("b", net(9)),
     )
-    loop.loop.poll(Tag(5, 0))
+    loop.loop.serve(0, Tag(5, 0))
     assert loop.got == [
         ("a", "TAGGED_MSG", 2),
         ("b", "NET", 4),
@@ -120,7 +120,7 @@ def test_hold_keeps_a_link_from_its_first_later_data_frame(loop):
 
 def test_hold_with_no_data_at_or_below_it_still_passes_control_frames(loop):
     loop.read(("a", net(1)), ("a", data(6)), ("b", net(2)), ("a", net(3)))
-    loop.loop.poll(Tag(5, 0))
+    loop.loop.serve(0, Tag(5, 0))
     assert loop.got == [("a", "NET", 1), ("b", "NET", 2)]
 
 
@@ -141,7 +141,7 @@ def test_frames_queued_from_a_done_link_are_dropped(loop):
 
 def test_held_frames_of_a_link_that_ends_are_dropped(loop):
     loop.read(("b", data(1)), ("a", data(9)), ("a", net(9)), ("b", net(2)))
-    loop.loop.poll(Tag(5, 0))
+    loop.loop.serve(0, Tag(5, 0))
     assert loop.got == [("b", "TAGGED_MSG", 1), ("b", "NET", 2)]
     loop.links["a"].done = True
     loop.loop.serve(0)

@@ -34,7 +34,7 @@ from hprm.federate import Federate, FederateConfig
 from hprm.loop import Link
 from hprm.rti import Phase, RtiProtocolError, RtiServer, RtiState, encode_progress
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Delay, Tag, bound_tag, delay_tag
-from hprm.topology import Connection, Topology, validate_topology
+from hprm.topology import Connection, Topology, TopologyError
 from hprm.transport import Frame, FrameListener, FrameType, connect, decode_progress
 
 MS = 1_000_000
@@ -595,7 +595,9 @@ def federation_cases(draw):
         edge = Connection(federates[src], f"o{k}", federates[dst], f"i{k}", Delay(delay))
         # Repaired rather than filtered out, which would discard most
         # draws: an edge closing a zero-delay cycle gets a delay.
-        if not validate_topology(Topology(tuple(federates), (*connections, edge))).ok:
+        try:
+            Topology.build(federates, (*connections, edge))
+        except TopologyError:
             edge = Connection(edge.src, edge.src_port, edge.dst, edge.dst_port, Delay(5))
         connections.append(edge)
     topology = Topology.build(federates, connections)

@@ -211,6 +211,13 @@ class _Model:
     def refs(self, oid):
         return sum(n for (o, _), n in self.pins.items() if o == oid)
 
+    def reads_left(self, oid):
+        """StoreState's count of gets still expected before ``oid``
+        retires: None once a release or a session end left a view open,
+        or if its seal declared no reads."""
+        declared, gets, kept = self.objects[oid][3:6]
+        return None if kept or not declared else max(declared - gets, 0)
+
     def holders(self, oid):
         return sorted(s for (o, s) in self.pins if o == oid)
 
@@ -368,6 +375,7 @@ class StoreLifecycleMachine(RuleBasedStateMachine):
         assert self.real.occupancy <= self.CAPACITY
         for oid, (size, sealed, *_rest) in self.model.objects.items():
             assert self.real.describe(oid) == (size, sealed, self.model.refs(oid))
+            assert self.real._entries[oid].reads_left == self.model.reads_left(oid)
         assert len(self.model.objects) == self.real.stats()["objects"]
         assert self.real.counters.recycled == self.model.recycled
         assert self.real.counters.releases == self.model.releases
