@@ -26,12 +26,12 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from hprm.bench.delayline import DelayListener
-from hprm.clock import MonotonicClock
 from hprm.federate import Federate, FederateConfig
 from hprm.tags import Tag
 from hprm.topology import Topology
@@ -70,7 +70,6 @@ def run_pub(cfg: dict) -> dict:
     """Publisher ``pub_index``, in ``slot`` of ``slots``: message ``seq``
     goes out at tag ``start + (seq*slots + slot + 1) * period_ns``."""
     fed = _build_federate(cfg)
-    clock = MonotonicClock()
     index = cfg["pub_index"]
     count = cfg["message_count"]
     stride = cfg["slots"] * cfg["period_ns"]
@@ -80,7 +79,7 @@ def run_pub(cfg: dict) -> dict:
 
     def tick(ctx):
         seq = int(ctx.value)
-        starts[seq] = clock.now_ns()
+        starts[seq] = time.monotonic_ns()
         ctx.publish("out", [index, seq, *array])
         if seq + 1 < count:
             ctx.schedule(Tag(ctx.tag.time + stride, 0), "tick", seq + 1)
@@ -99,7 +98,6 @@ def run_sub(cfg: dict) -> dict:
     and stop after ``message_count_total`` messages.  A late arrival is
     counted as detected, and as handled."""
     fed = _build_federate(cfg)
-    clock = MonotonicClock()
     total = cfg["message_count_total"]
     expect = cfg["n_publishers"]
     copies: dict[int, int] = {}
@@ -114,7 +112,7 @@ def run_sub(cfg: dict) -> dict:
         seq = int(ctx.value[1])
         copies[seq] = copies.get(seq, 0) + 1
         if copies[seq] == expect:
-            dones[seq] = clock.now_ns()
+            dones[seq] = time.monotonic_ns()
         handled += 1
         if handled >= total:
             ctx.federate.request_stop()
@@ -130,7 +128,7 @@ def run_sub(cfg: dict) -> dict:
         next_seq[pub] = max(next_seq.get(pub, 0), seq + 1)
         if len(ctx.value) > 2:
             _ = ctx.value[2][-1]  # the payload must actually be present
-        delays.append(max(1, clock.now_ns() - ctx.tag.time))
+        delays.append(max(1, time.monotonic_ns() - ctx.tag.time))
         handle(ctx)
 
     def on_late(ctx):

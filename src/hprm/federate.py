@@ -1,27 +1,30 @@
 """The federate runtime: tag-ordered event processing.
 
 A federate owns a priority queue of tagged events and runs reactions
-over them strictly in tag order.  The two coordination modes differ in
-the *gate*: when the earliest queued event may be processed.
+over them strictly in tag order.  The *gate* decides when the earliest
+queued event may be processed, by one rule in both coordination modes:
+an event at tag ``h`` runs once the physical clock has reached ``h``'s
+timestamp, provided the *arrival floor* is strictly past ``h``.  The
+modes differ only when it is not.
 
-Centralized mode gates each event at tag ``h`` on two conditions: the
-*arrival floor* being strictly past ``h``, which alone orders events,
-and the physical clock having reached ``h``'s timestamp.  The floor is
-the earliest tag that could still arrive, computed from per-upstream
-watermarks: every federate forwards its announcements down its data
-connections, and as the stream is FIFO, a watermark guarantees that all
-earlier-tagged data on that connection has been seen.  The
-strictness matters: data may still arrive at the floor itself, an
-upstream's announcement plus the connection delay.  So processing an
-event out of order is structurally impossible, not merely unlikely (a
-Chandy-Misra null-message bound).
+The floor is the earliest tag that could still arrive, computed from
+per-upstream watermarks: every centralized federate forwards its
+announcements down its data connections, and as the stream is FIFO, a
+watermark guarantees that all earlier-tagged data on that connection has
+been seen.  Centralized mode waits for the floor to pass ``h``, so the
+floor alone orders events.  The strictness matters: data may still
+arrive at the floor itself, an upstream's announcement plus the
+connection delay.  So processing an event out of order is structurally
+impossible, not merely unlikely (a Chandy-Misra null-message bound).
 
-Decentralized mode gates only on the physical clock: an event at tag
-``h`` runs once ``now >= h.time + stp_offset``, the safe-to-process
-margin.  If it underestimates worst-case delivery (clock error plus
-network latency), a message can arrive for a tag already processed.
-Such arrivals are *detected* -- counted and handed to the violation
-handler or dropped -- never silently processed out of order.
+Decentralized federates send no promises, so their floor is the start
+tag delayed by the shortest connection from an upstream still open, and
+``FOREVER`` once none is.  An event at tag ``h`` at or above it runs once
+``now >= h.time + stp_offset``, the safe-to-process margin.  If that
+underestimates worst-case delivery (clock error plus network latency), a
+message can arrive for a tag already processed.  Such arrivals are
+*detected* -- counted and handed to the violation handler or dropped --
+never silently processed out of order.
 
 Announcements double as promises: a federate announces the minimum of
 its queue head and its arrival floor (and, while mid-tag, the tag being
@@ -51,11 +54,13 @@ connected, and the listener closes once every upstream has said hello.
 Every send but a publish's is best-effort: a lost connection shows on
 the read side.  Only ``request_stop`` may be called from another thread.
 
-Physical time comes only from the ``clock`` and inbound connections only
-from the ``listener``, both constructor seams: tests drive the gates
-with a manual clock, and the benchmark models network latency with a
-listener whose connections hold frames back (:mod:`hprm.bench.delayline`),
-so the runtime carries no test instrumentation.
+Physical time is ``time.monotonic_ns``, system-wide on one host, unless
+the constructor is given another ``clock`` function; inbound connections
+come from the ``listener`` given, else one on ``listen_host``.  Tests
+drive the gates with a clock of their own, and the benchmark models
+network latency with a listener whose connections hold frames back
+(:mod:`hprm.bench.delayline`), so the runtime carries no test
+instrumentation.
 """
 
 from __future__ import annotations
@@ -69,7 +74,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from hprm.clock import Clock, MonotonicClock
 from hprm.loop import FrameLoop, Link
 from hprm.serde import (
     SerializedPayload,
@@ -233,14 +237,14 @@ class Federate:
         config: FederateConfig,
         topology: Topology,
         *,
-        clock: Clock | None = None,
+        clock: Callable[[], int] = time.monotonic_ns,
         listener: FrameListener | None = None,
     ):
         if config.fid not in topology.federates:
             raise ValueError(f"{config.fid!r} is not in the topology")
         self.config = config
         self.topology = topology
-        self.clock = clock or MonotonicClock()
+        self._now = clock  # physical time in ns
         self._listener = listener  # None: start() listens on listen_host
         self.fid = config.fid
         self._in_edges = [
@@ -371,10 +375,7 @@ class Federate:
         for edge in edges:
             out_tag = delay_tag(current, edge.delay)
             if edge.dst == self.fid:
-                heapq.heappush(
-                    self._queue,
-                    _Queued(out_tag, self._next_seq(), edge.dst_port, value=value),
-                )
+                self.schedule(out_tag, edge.dst_port, value)
                 delivered += 1
                 continue
             port_id = self.topology.port_number(edge.dst, edge.dst_port)
@@ -438,7 +439,7 @@ class Federate:
         join_body = json.dumps(
             {
                 "fid": self.fid,
-                "clock_ns": self.clock.now_ns(),
+                "clock_ns": self._now(),
                 "address": self._listener.address,
             }
         ).encode()
@@ -642,17 +643,15 @@ class Federate:
     def _gate_wait_ns(self, head: _Queued, now_ns: int) -> int | None:
         """None when the head may run now, else a wait hint in ns.
 
-        0 means "blocked until input arrives"."""
-        if self.config.mode == CENTRALIZED:
-            if self._floor() <= head.tag:
+        0 means "blocked until input arrives".  A head the arrival floor
+        has passed waits only for its tag's time; below that, centralized
+        mode waits for input, and decentralized mode waits the
+        safe-to-process margin as well, for input that may still come."""
+        due = head.tag.time
+        if self._floor() <= head.tag:
+            if self.config.mode == CENTRALIZED:
                 return 0
-            due = head.tag.time
-        else:
-            # The safe-to-process margin buys time for network input to
-            # arrive; a federate with no upstream connections has nothing
-            # to wait for and fires at the tag's own time.
-            margin = self.config.stp_offset_ns if self._in_edges else 0
-            due = head.tag.time + margin
+            due += self.config.stp_offset_ns
         if now_ns < due:
             return due - now_ns
         return None
@@ -667,18 +666,6 @@ class Federate:
         if limit is not None and head.tag > limit:
             return None
         return head
-
-    def _pop_batch(self) -> list[_Queued]:
-        tag = self._queue[0].tag
-        batch = []
-        while self._queue and self._queue[0].tag == tag:
-            item = heapq.heappop(self._queue)
-            if item.sealed is not None:
-                self._pinned_bytes -= item.sealed.size
-            batch.append(item)
-        self._current = tag
-        self._executing = True
-        return batch
 
     def run(self) -> RunSummary:
         """Process events until the federation stops.
@@ -710,7 +697,7 @@ class Federate:
                     if self.config.mode == DECENTRALIZED:
                         # No promise crosses a decentralized cycle: bound
                         # the drain by the clock instead.
-                        now = self.clock.now_ns()
+                        now = self._now()
                         if self._drain_deadline_ns is None:
                             self._drain_deadline_ns = now + max(
                                 2 * self.config.stp_offset_ns, 2_000_000_000
@@ -725,11 +712,11 @@ class Federate:
                         timeout = min(0.25, (self._drain_deadline_ns - now) / 1e9)
                 elif head is not None:
                     self._drain_deadline_ns = None
-                    wait_ns = self._gate_wait_ns(head, self.clock.now_ns())
+                    wait_ns = self._gate_wait_ns(head, self._now())
                     if wait_ns is None:
                         if polled:
                             polled = False
-                            self._execute_batch(self._pop_batch())
+                            self._run_batch()
                         else:
                             # First take what has arrived: input for this
                             # tag or an earlier one runs first.
@@ -761,12 +748,17 @@ class Federate:
             messages_received=self.messages_received,
         )
 
-    def _materialize(self, item: _Queued):
-        if item.payload is not None:
-            return deserialize(item.payload, zero_copy=True)
-        return item.value
-
-    def _execute_batch(self, batch: list[_Queued]) -> None:
+    def _run_batch(self) -> None:
+        """Pop every event at the head's tag and run its reactions."""
+        tag = self._queue[0].tag
+        batch = []
+        while self._queue and self._queue[0].tag == tag:
+            item = heapq.heappop(self._queue)
+            if item.sealed is not None:
+                self._pinned_bytes -= item.sealed.size
+            batch.append(item)
+        self._current = tag
+        self._executing = True
         try:
             for item in batch:
                 self._react(item)
@@ -774,23 +766,29 @@ class Federate:
             for item in batch:
                 self._release(item)
             self._executing = False
-            self._completed = self._current
+            self._completed = tag
             self.executed += 1
             self._report_progress()
 
-    def _react(self, item: _Queued) -> None:
-        """Run the reactions to one event; its value lives in this frame
+    def _react(self, item: _Queued, late_by: int | None = None) -> bool:
+        """Run the reactions to one event, or only their safe-to-process
+        violation handlers if it arrived ``late_by`` ns after its tag ran.
+        Returns whether a handler ran.  The value lives in this frame
         only, so it is gone once this returns."""
-        value = self._materialize(item)
+        if item.payload is not None:
+            value = deserialize(item.payload, zero_copy=True)
+        else:
+            value = item.value
         event = Event(item.tag, item.port, value)
-        lateness = self.clock.now_ns() - item.tag.time
+        lateness = self._now() - item.tag.time if late_by is None else late_by
+        ran = False
         for reaction in self._reactions.get(item.port, ()):
-            ctx = ReactionContext(self, event, value, lateness)
-            if reaction.deadline_ns is not None and lateness > reaction.deadline_ns:
+            if late_by is not None:
+                handler = reaction.on_stp_violation
+            elif reaction.deadline_ns is not None and lateness > reaction.deadline_ns:
                 self.deadline_misses += 1
-                if reaction.on_deadline_miss is not None:
-                    reaction.on_deadline_miss(ctx)
-                else:
+                handler = reaction.on_deadline_miss
+                if handler is None:
                     log.warning(
                         "%s: deadline missed at %r by %d ns",
                         self.fid,
@@ -798,7 +796,11 @@ class Federate:
                         lateness - reaction.deadline_ns,
                     )
             else:
-                reaction.handler(ctx)
+                handler = reaction.handler
+            if handler is not None:
+                handler(ReactionContext(self, event, value, lateness))
+                ran = True
+        return ran
 
     def _release(self, item: _Queued) -> None:
         """Unpin a store payload, dropping its views first so the release
@@ -819,17 +821,7 @@ class Federate:
                 )
 
     def _handle_violation(self, item: _Queued, lateness_ns: int) -> None:
-        value = self._materialize(item)
-        event = Event(item.tag, item.port, value)
-        handled = False
-        for reaction in self._reactions.get(item.port, ()):
-            if reaction.on_stp_violation is not None:
-                reaction.on_stp_violation(
-                    ReactionContext(self, event, value, lateness_ns)
-                )
-                handled = True
-        del value, event  # so that the release finds no view left
-        if not handled:
+        if not self._react(item, lateness_ns):
             log.warning(
                 "%s: dropped event at %r (late by %d ns)",
                 self.fid,

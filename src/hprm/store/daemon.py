@@ -196,6 +196,7 @@ class StoreDaemon:
         except (KeyError, ValueError):
             pass
         conn.sock.close()
+        conn.inbuf.clear()  # serve nothing more for an ended session
         # Its unsealed objects' segments are pooled at the next request.
         self.state.end(conn)
 

@@ -15,7 +15,6 @@ import pytest
 import hprm.federate
 import hprm.loop
 from hprm.bench.delayline import DelayListener
-from hprm.clock import ManualClock
 from hprm.federate import (
     CENTRALIZED,
     DECENTRALIZED,
@@ -46,6 +45,20 @@ from hprm.transport import (
 
 MS = 1_000_000
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class ManualClock:
+    """A clock that only moves when told to."""
+
+    def __init__(self, start_ns: int = 0):
+        self.now_ns = start_ns
+
+    def __call__(self) -> int:
+        return self.now_ns
+
+    def set(self, now_ns: int) -> None:
+        assert now_ns >= self.now_ns, "clocks do not run backwards"
+        self.now_ns = now_ns
 
 
 # -- harness ----------------------------------------------------------------
@@ -189,7 +202,7 @@ def test_gate_wait_follows_a_manual_clock():
     clock = ManualClock(90 * MS)
 
     def gate(fed):
-        return fed._gate_wait_ns(head, clock.now_ns())
+        return fed._gate_wait_ns(head, clock())
 
     central = Federate(FederateConfig(fid="b"), topo, clock=clock)
     central._watermarks["a"] = Tag(99 * MS, 0)
@@ -204,6 +217,7 @@ def test_gate_wait_follows_a_manual_clock():
         FederateConfig(fid="b", mode=DECENTRALIZED, stp_offset_ns=5 * MS),
         topo, clock=clock,
     )
+    downstream._watermarks["a"] = Tag(99 * MS, 0)  # floor (99 ms, 1): below the head
     source = Federate(
         FederateConfig(fid="a", mode=DECENTRALIZED, stp_offset_ns=5 * MS),
         topo, clock=clock,
@@ -215,6 +229,33 @@ def test_gate_wait_follows_a_manual_clock():
     assert gate(source) is None
     clock.set(105 * MS)
     assert gate(downstream) is None
+
+
+def test_a_decentralized_head_below_the_floor_waits_no_margin():
+    """The safe-to-process margin waits for input that may still come.
+    A decentralized head the arrival floor has passed waits only for its
+    tag's time; a head at or above the floor waits the margin too."""
+    topo = pipeline("a", "b")
+    clock = ManualClock(90 * MS)
+    fed = Federate(
+        FederateConfig(fid="b", mode=DECENTRALIZED, stp_offset_ns=5 * MS),
+        topo, clock=clock,
+    )
+
+    def gate(tag):
+        return fed._gate_wait_ns(hprm.federate._Queued(tag, 1, "in"), clock())
+
+    fed._watermarks["a"] = Tag(100 * MS, 0)
+    assert fed._floor() == Tag(100 * MS, 1)
+    assert gate(Tag(100 * MS, 0)) == 10 * MS  # h.time - now: no margin
+    assert gate(Tag(100 * MS, 1)) == 15 * MS  # at the floor: h.time + margin - now
+    assert gate(Tag(101 * MS, 0)) == 16 * MS  # above it
+    clock.set(100 * MS)
+    assert gate(Tag(100 * MS, 0)) is None
+    assert gate(Tag(100 * MS, 1)) == 5 * MS
+    fed._watermarks["a"] = FOREVER  # the upstream closed: nothing can arrive
+    assert gate(Tag(100 * MS, 1)) is None
+    assert gate(Tag(101 * MS, 0)) == MS
 
 
 class _Feed:
@@ -723,7 +764,7 @@ def test_upstream_net_mid_reaction_keeps_the_floor_below_its_publish():
     at = delay_tag(start, NO_DELAY)  # src's publish at the start tag
     mid._announced = at  # what mid announced before `at` arrived
     mid.schedule(at, "in", 7)
-    mid._execute_batch(mid._pop_batch())
+    mid._run_batch()
 
     floor, published = NEVER, 0
     for frame in dst.frames:
@@ -1631,7 +1672,7 @@ def test_a_failed_peer_send_is_blamed_on_a_lost_coordinator(coordinator):
     pub.on("tick", tick)
     pub.schedule(Tag(MS, 0), "tick")
     try:
-        pub._execute_batch(pub._pop_batch())
+        pub._run_batch()
     finally:
         pub._rti.close()
         theirs.close()

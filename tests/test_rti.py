@@ -29,7 +29,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hprm.clock import ManualClock
 from hprm.federate import Federate, FederateConfig
 from hprm.loop import Link
 from hprm.rti import Phase, RtiProtocolError, RtiServer, RtiState, encode_progress
@@ -662,14 +661,14 @@ def run_fifo_federation(topology, initial_events, seed, *, stop_at=None, kill_at
     rng = random.Random(seed)
     state = RtiState(topology, startup_offset_ns=0)
     join_all(state)
-    clock = ManualClock(FOREVER.time)  # the clock never gates
     feds, links, ends, to_rti, from_rti = {}, {}, {}, {}, {}
     counts = {"created": 0, "ran": 0}
     executed = {fid: [] for fid in topology.federates}
     killed = set()
 
     for fid in topology.federates:
-        fed = Federate(FederateConfig(fid=fid), topology, clock=clock)
+        # The clock never gates.
+        fed = Federate(FederateConfig(fid=fid), topology, clock=lambda: FOREVER.time)
         fed.start_tag = state.start_tag
         fed._rti = to_rti[fid] = _Fifo()
         from_rti[fid] = _Fifo()
@@ -714,7 +713,7 @@ def run_fifo_federation(topology, initial_events, seed, *, stop_at=None, kill_at
 
     def runnable(fed):
         head = fed._head()
-        return head is not None and fed._gate_wait_ns(head, clock.now_ns()) is None
+        return head is not None and fed._gate_wait_ns(head, FOREVER.time) is None
 
     def halting(fed):
         # What Federate.run checks before it halts.
@@ -722,7 +721,7 @@ def run_fifo_federation(topology, initial_events, seed, *, stop_at=None, kill_at
         return stop is not None and fed._head() is None and fed._floor() > stop
 
     def run(fed):
-        fed._execute_batch(fed._pop_batch())
+        fed._run_batch()
         if executed[fed.fid]:
             assert fed._current > executed[fed.fid][-1], "processing went backwards"
         executed[fed.fid].append(fed._current)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -40,7 +40,7 @@ from hprm.store import (
     random_object_id,
 )
 from hprm.store import client as store_client
-from hprm.store.daemon import StoreDaemon
+from hprm.store.daemon import StoreDaemon, _Conn
 from hprm.store.state import Status, StoreState
 from hprm.store import wire
 
@@ -383,7 +383,12 @@ class StoreLifecycleMachine(RuleBasedStateMachine):
 
 TestStoreLifecycleMachine = StoreLifecycleMachine.TestCase
 TestStoreLifecycleMachine.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
+    max_examples=60,
+    stateful_step_count=40,
+    deadline=None,
+    # No shrinking: a failing example is reported as found, at most 40
+    # steps, in about a second rather than after minutes of shrinking.
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
 )
 
 
@@ -552,6 +557,27 @@ def test_disconnect_releases_pins_and_unsealed_creations(store):
         assert stats["objects"] == 1  # the unsealed one is gone
         assert store.state.evict(1024) == 1024  # the pin was dropped, so a is evictable
     unsealed.close()
+
+
+def test_no_buffered_request_is_served_after_its_session_ends(tmp_path):
+    """Two CREATEs reach the daemon in one read from a client that has
+    gone.  The first reply fails and ends the session; the second must
+    not run for it, or it leaves an unsealed object that nothing can
+    seal, evict or drop."""
+    daemon = StoreDaemon(tmp_path / "store.sock", capacity_bytes=4 * 2**20)
+    ours, theirs = socket.socketpair()
+    conn = daemon._conns[ours] = _Conn(ours)
+    theirs.sendall(
+        wire.encode_request(wire.Op.CREATE, oid_of(1), 8192)
+        + wire.encode_request(wire.Op.CREATE, oid_of(2), 8192)
+    )
+    theirs.close()
+    try:
+        daemon._service(conn)  # on this thread: no daemon thread to race
+        stats = daemon.state.stats()
+        assert (stats["objects"], stats["occupancy_bytes"]) == (0, 0)
+    finally:
+        daemon._cleanup()
 
 
 def test_payload_layout_written_with_one_pass_per_byte(store, monkeypatch):
