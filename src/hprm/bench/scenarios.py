@@ -663,12 +663,8 @@ def measure_write_delay(size_bytes: int, iterations: int = 15, warmup: int = 3):
                 sink = bytearray(size_bytes + (1 << 20))
                 for i in range(warmup + iterations):
                     t0 = time.perf_counter_ns()
-                    payload = serialize(value)
-                    layout = build_layout(payload)
-                    client.put(
-                        layout.total_bytes,
-                        [(0, layout.header), *zip(layout.segment_offsets, payload.segments)],
-                    )
+                    layout = build_layout(serialize(value))
+                    client.put(layout.total_bytes, layout.pieces)
                     t1 = time.perf_counter_ns()
                     if i >= warmup:
                         store_ns.append(t1 - t0)
@@ -676,7 +672,7 @@ def measure_write_delay(size_bytes: int, iterations: int = 15, warmup: int = 3):
                 for i in range(warmup + iterations):
                     t0 = time.perf_counter_ns()
                     payload = serialize(value, oob_floor=None)
-                    blob = encode_payload(payload)
+                    blob = encode_payload(build_layout(payload))
                     sink[: len(blob)] = blob
                     t1 = time.perf_counter_ns()
                     if i >= warmup:

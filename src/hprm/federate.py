@@ -138,15 +138,6 @@ def _send(conn: FrameConnection, frame: Frame) -> None:
         pass
 
 
-@dataclass(frozen=True)
-class Event:
-    """One tagged occurrence on a named port."""
-
-    tag: Tag
-    port: str
-    value: Any = None
-
-
 @dataclass
 class Reaction:
     ports: tuple[str, ...]
@@ -169,6 +160,8 @@ class FederateConfig:
     def __post_init__(self) -> None:
         if self.mode not in (CENTRALIZED, DECENTRALIZED):
             raise ValueError(f"unknown coordination mode {self.mode!r}")
+        if self.stp_offset_ns < 0:
+            raise ValueError(f"negative safe-to-process margin {self.stp_offset_ns}")
 
     @classmethod
     def from_env(cls, fid: str, environ=None, **overrides) -> "FederateConfig":
@@ -184,20 +177,17 @@ class FederateConfig:
 
 
 class ReactionContext:
-    """What a handler sees: the event, its decoded value, and the
-    federate's publish/schedule surface."""
+    """What a handler sees: the event's tag, port and decoded value, how
+    late it runs, and the federate's publish/schedule surface."""
 
-    __slots__ = ("federate", "event", "value", "lateness_ns")
+    __slots__ = ("federate", "tag", "port", "value", "lateness_ns")
 
-    def __init__(self, federate: "Federate", event, value, lateness_ns: int):
+    def __init__(self, federate, tag: Tag, port: str, value, lateness_ns: int):
         self.federate = federate
-        self.event = event
+        self.tag = tag
+        self.port = port
         self.value = value
         self.lateness_ns = lateness_ns
-
-    @property
-    def tag(self) -> Tag:
-        return self.event.tag
 
     def publish(self, port: str, value) -> int:
         return self.federate.publish(port, value)
@@ -354,10 +344,10 @@ class Federate:
         remote = sum(e.dst != self.fid for e in edges)
         frame_type = body = None
         if remote:
-            payload = serialize(value)
-            size = payload.total_bytes()
+            layout = build_layout(serialize(value))
+            size = layout.total_bytes
             if HEADER_BYTES + size <= self.config.connection.eager_buffer_bytes:
-                frame_type, body = FrameType.TAGGED_MSG, encode_payload(payload)
+                frame_type, body = FrameType.TAGGED_MSG, encode_payload(layout)
             elif self._store is None:
                 raise DeliveryError(
                     f"{size}-byte payload does not fit one frame "
@@ -370,7 +360,14 @@ class Federate:
                     if edge.dst != self.fid:
                         self._await_ack(edge.dst)
                 frame_type = FrameType.OBJ_REF
-                body = self._store_payload(payload, remote)
+                try:
+                    # Sealed for one get per OBJ_REF, so the store recycles
+                    # it once they are done; its id is all an OBJ_REF carries.
+                    body = self._store.put(size, layout.pieces, remote)
+                except (StoreError, OSError) as exc:
+                    raise DeliveryError(
+                        f"{self.fid}: storing a {size}-byte payload: {exc}"
+                    ) from exc
         delivered = 0
         for edge in edges:
             out_tag = delay_tag(current, edge.delay)
@@ -406,19 +403,6 @@ class Federate:
             self._loop.serve(None)
         self._unacked[dst] = self._unacked.get(dst, 0) + 1
 
-    def _store_payload(self, payload: SerializedPayload, reads: int) -> bytes:
-        """Write ``payload`` into a new store object sealed for ``reads``
-        gets, one per OBJ_REF about to be sent, so the store recycles it
-        once they are done.  Returns its id, all an OBJ_REF carries."""
-        layout = build_layout(payload)
-        pieces = [(0, layout.header), *zip(layout.segment_offsets, payload.segments)]
-        try:
-            return self._store.put(layout.total_bytes, pieces, reads)
-        except (StoreError, OSError) as exc:
-            raise DeliveryError(
-                f"{self.fid}: storing a {layout.total_bytes}-byte payload: {exc}"
-            ) from exc
-
     # -- startup -----------------------------------------------------------------
 
     def start(self) -> Tag:
@@ -431,39 +415,43 @@ class Federate:
         if self.config.rti_address is None:
             raise FederateError("no coordination daemon address configured")
         opts = self.config.connection
-        self._listener = self._listener or listen(self.config.listen_host, opts)
-        if self.config.store_path:
-            self._store = StoreClient(self.config.store_path)
-            self._pin_budget = self._store.stats()["capacity_bytes"] // 2
-        rti = connect(self.config.rti_address, opts, retry_for=CONNECT_RETRY_S)
-        join_body = json.dumps(
-            {
-                "fid": self.fid,
-                "clock_ns": self._now(),
-                "address": self._listener.address,
-            }
-        ).encode()
-        rti.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=join_body))
-        self._rti = rti  # from now on request_stop may send
-        frame = rti.recv_frame()
-        if frame is None or frame.type != FrameType.START:
-            raise FederateError(f"expected START from the coordinator, got {frame}")
-        self.start_tag = frame.tag
-        addresses = json.loads(frame.body.decode())["addresses"]
-        for src in self._upstream:
-            self._watermarks[src] = self.start_tag
-        self._loop.watch(self._rti, self._from_rti)
-        hello = json.dumps({"fid": self.fid}).encode()
-        for dst in self._downstream:
-            conn = connect(addresses[dst], opts, retry_for=CONNECT_RETRY_S)
-            conn.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=hello))
-            conn.wait_writable = lambda c=conn: self._loop.read_until_writable(c)
-            self._peers_out[dst] = conn
-            self._loop.watch(conn, self._from_downstream, dst)
-        if self._upstream:
-            self._loop.accept_from(self._listener, self._accept)
-        else:
-            self._listener.close()
+        try:
+            self._listener = self._listener or listen(self.config.listen_host, opts)
+            if self.config.store_path:
+                self._store = StoreClient(self.config.store_path)
+                self._pin_budget = self._store.stats()["capacity_bytes"] // 2
+            rti = connect(self.config.rti_address, opts, retry_for=CONNECT_RETRY_S)
+            join_body = json.dumps(
+                {
+                    "fid": self.fid,
+                    "clock_ns": self._now(),
+                    "address": self._listener.address,
+                }
+            ).encode()
+            rti.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=join_body))
+            self._rti = rti  # from now on request_stop may send
+            frame = rti.recv_frame()
+            if frame is None or frame.type != FrameType.START:
+                raise FederateError(f"expected START from the coordinator, got {frame}")
+            self.start_tag = frame.tag
+            addresses = json.loads(frame.body.decode())["addresses"]
+            for src in self._upstream:
+                self._watermarks[src] = self.start_tag
+            self._loop.watch(self._rti, self._from_rti)
+            hello = json.dumps({"fid": self.fid}).encode()
+            for dst in self._downstream:
+                conn = connect(addresses[dst], opts, retry_for=CONNECT_RETRY_S)
+                self._peers_out[dst] = conn  # _shutdown closes it from here on
+                conn.send_frame(Frame(FrameType.JOIN, Tag(0, 0), body=hello))
+                conn.wait_writable = lambda c=conn: self._loop.read_until_writable(c)
+                self._loop.watch(conn, self._from_downstream, dst)
+            if self._upstream:
+                self._loop.accept_from(self._listener, self._accept)
+            else:
+                self._listener.close()
+        except BaseException:
+            self._shutdown("faulted")  # close what was opened
+            raise
         self._started = True
         return self.start_tag
 
@@ -779,7 +767,6 @@ class Federate:
             value = deserialize(item.payload, zero_copy=True)
         else:
             value = item.value
-        event = Event(item.tag, item.port, value)
         lateness = self._now() - item.tag.time if late_by is None else late_by
         ran = False
         for reaction in self._reactions.get(item.port, ()):
@@ -798,7 +785,7 @@ class Federate:
             else:
                 handler = reaction.handler
             if handler is not None:
-                handler(ReactionContext(self, event, value, lateness))
+                handler(ReactionContext(self, item.tag, item.port, value, lateness))
                 ran = True
         return ran
 

@@ -13,11 +13,15 @@ canonical (map keys are sorted, integers use a fixed minimal-width rule),
 so equal values serialize to identical bytes, which the cross-federate
 determinism checks rely on.
 
-A payload has one flat, self-describing encoding (:func:`encode_payload`):
-a header that holds the in-band stream and the segment lengths, then each
-segment at the next 64-byte boundary.  An inline frame's body and a store
-object hold the same bytes, and :func:`decode_payload` parses either, so
-a reference to a store object needs to carry nothing but its id.
+A payload has one flat, self-describing encoding: a header that holds
+the format version, the in-band stream and the segment lengths, then each
+segment at the next 64-byte boundary.  :func:`build_layout` is the one
+routine that lays it out, once per publish: a store writer copies its
+pieces into an object, and :func:`encode_payload` joins them into an
+inline frame's body.  Both hold the same bytes, and :func:`decode_payload`
+parses either, so a reference to a store object needs to carry nothing
+but its id.  The version lives in those bytes only: ``build_layout``
+writes ``PAYLOAD_VERSION`` and ``decode_payload`` checks it.
 
 ``deserialize(..., zero_copy=True)`` reconstructs array and bytes leaves
 as read-only views of the payload's backing buffers; callers use it when
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,7 +43,6 @@ SEGMENT_ALIGNMENT = 64
 PAYLOAD_VERSION = 1
 
 _PREFIX = struct.Struct("<BI")  # version, in-band length
-_FIXED_HEADER = _PREFIX.size + 2  # the prefix and the segment count
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -81,19 +84,8 @@ class SerializedPayload:
     copied on the way in.
     """
 
-    version: int
     inband: bytes | memoryview
     segments: tuple[Any, ...] = ()
-
-    @property
-    def segment_lengths(self) -> tuple[int, ...]:
-        return tuple(memoryview(s).nbytes for s in self.segments)
-
-    def total_bytes(self) -> int:
-        """Size of the flat encoding (:func:`encode_payload`), padding
-        included."""
-        header = _FIXED_HEADER + len(self.inband) + 8 * len(self.segments)
-        return _segment_offsets(header, self.segment_lengths)[1]
 
 
 def _encode_int(out: bytearray, x: int) -> None:
@@ -192,7 +184,7 @@ def serialize(
     out = bytearray()
     segments: list = []
     _serialize_into(value, out, segments, oob_floor)
-    return SerializedPayload(PAYLOAD_VERSION, bytes(out), tuple(segments))
+    return SerializedPayload(bytes(out), tuple(segments))
 
 
 class _Reader:
@@ -282,8 +274,6 @@ def deserialize(payload: SerializedPayload, *, zero_copy: bool = False) -> Any:
     views into the payload's buffers; the caller is responsible for
     keeping those buffers alive and unchanged for the value's lifetime.
     """
-    if payload.version != PAYLOAD_VERSION:
-        raise PayloadFormatError(f"unsupported payload version {payload.version}")
     reader = _Reader(memoryview(payload.inband))
     segs = iter(payload.segments)
     try:
@@ -315,63 +305,55 @@ def _segment_offsets(cursor: int, lens) -> tuple[list[int], int]:
     return offsets, cursor
 
 
-def _header(payload: SerializedPayload, lens) -> bytes:
-    return b"".join(
+class PayloadLayout(NamedTuple):
+    """A payload's flat encoding as pieces: the header at offset 0, then
+    each segment at its offset, ``total_bytes`` in all, padding included.
+    A store writer copies the pieces there, so the object holds exactly
+    the encoded bytes, bar padding."""
+
+    total_bytes: int
+    pieces: tuple[tuple[int, Any], ...]
+
+
+def build_layout(payload: SerializedPayload) -> PayloadLayout:
+    """Lay out the flat encoding of ``payload``.
+
+    Layout: ``version u8 | inband_len u32 | inband | segment_count u16 |
+    segment_len u64 per segment``, then each segment at the next multiple
+    of ``SEGMENT_ALIGNMENT``, so array views over the buffer keep their
+    natural alignment, with padding between and nothing after.  All
+    integers little-endian.
+    """
+    lens = [memoryview(s).nbytes for s in payload.segments]
+    header = b"".join(
         [
-            _PREFIX.pack(payload.version, len(payload.inband)),
+            _PREFIX.pack(PAYLOAD_VERSION, len(payload.inband)),
             payload.inband,
             _U16.pack(len(lens)),
             *map(_U64.pack, lens),
         ]
     )
-
-
-@dataclass(frozen=True)
-class PayloadLayout:
-    """Where :func:`encode_payload` puts a payload's pieces: the header
-    at 0 and each segment at its offset.  A store writer copies them
-    there, so the object holds exactly the encoded bytes, bar padding."""
-
-    total_bytes: int
-    header: bytes
-    segment_offsets: tuple[int, ...]
-
-
-def build_layout(payload: SerializedPayload) -> PayloadLayout:
-    lens = payload.segment_lengths
-    header = _header(payload, lens)
     offsets, end = _segment_offsets(len(header), lens)
-    return PayloadLayout(end, header, tuple(offsets))
+    return PayloadLayout(end, ((0, header), *zip(offsets, payload.segments)))
 
 
-def encode_payload(payload: SerializedPayload) -> bytes:
-    """Flatten a payload into one self-contained byte string.
-
-    Layout: ``version u8 | inband_len u32 | inband | segment_count u16 |
-    segment_len u64 per segment``, then each segment at the next multiple
-    of ``SEGMENT_ALIGNMENT``, so array views over the buffer keep their
-    natural alignment, with zero padding between and nothing after.  All
-    integers little-endian.  A frame body and a store object hold the
-    same bytes; this is the only point on the inline path where segment
-    bytes are copied.
-    """
-    lens = payload.segment_lengths
-    header = _header(payload, lens)
-    if not lens:
-        return header
-    offsets, _ = _segment_offsets(len(header), lens)
-    parts = [header]
-    end = len(header)
-    for offset, n, seg in zip(offsets, lens, payload.segments):
-        parts += (bytes(offset - end), seg)
-        end = offset + n
+def encode_payload(layout: PayloadLayout) -> bytes:
+    """Join a layout's pieces into one byte string, with zero padding:
+    an inline frame's body.  This is the only point on the inline path
+    where segment bytes are copied."""
+    if len(layout.pieces) == 1:
+        return layout.pieces[0][1]  # the header alone
+    parts, end = [], 0
+    for offset, piece in layout.pieces:
+        parts += (bytes(offset - end), piece)
+        end = offset + memoryview(piece).nbytes
     return b"".join(parts)
 
 
 def decode_payload(buffer: bytes | memoryview) -> SerializedPayload:
-    """Parse :func:`encode_payload` output -- a frame body or a store
-    object's mapping -- without copying segment data.  Padding is never
-    read, so a recycled store segment may hold anything there.
+    """Parse the flat encoding -- a frame body or a store object's
+    mapping -- without copying segment data.  Padding is never read, so
+    a recycled store segment may hold anything there.
 
     The returned payload's in-band stream and segments are views into
     ``buffer``; hand it to ``deserialize(..., zero_copy=False)`` unless
@@ -397,4 +379,4 @@ def decode_payload(buffer: bytes | memoryview) -> SerializedPayload:
     if end != len(view):
         raise PayloadFormatError("trailing bytes after final segment")
     segments = tuple(view[off : off + n] for off, n in zip(offsets, lens))
-    return SerializedPayload(version, inband, segments)
+    return SerializedPayload(inband, segments)

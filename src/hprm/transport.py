@@ -99,7 +99,6 @@ class Frame:
     tag: Tag
     port: int = 0
     body: bytes = b""
-    flags: int = 0
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class ConnectionOptions:
 def encode_header(frame: Frame) -> bytes:
     return HEADER.pack(
         frame.type,
-        frame.flags,
+        0,  # flags, reserved
         frame.tag.time,
         frame.tag.microstep,
         frame.port,
@@ -123,11 +122,9 @@ def encode_header(frame: Frame) -> bytes:
     )
 
 
-def decode_header(buf, offset: int = 0) -> tuple[int, int, Tag, int, int]:
-    """Parse a header; returns (type, flags, tag, port, body_len)."""
-    ftype, flags, tag_time, microstep, port, body_len = HEADER.unpack_from(
-        buf, offset
-    )
+def decode_header(buf, offset: int = 0) -> tuple[int, Tag, int, int]:
+    """Parse a header; returns (type, tag, port, body_len)."""
+    ftype, _, tag_time, microstep, port, body_len = HEADER.unpack_from(buf, offset)
     if ftype not in _FRAME_TYPES:
         raise FrameProtocolError(f"unknown frame type {ftype}")
     try:
@@ -136,7 +133,7 @@ def decode_header(buf, offset: int = 0) -> tuple[int, int, Tag, int, int]:
         raise FrameProtocolError(f"illegal tag encoding: {exc}") from None
     if body_len > MAX_BODY_BYTES:
         raise FrameProtocolError(f"declared body length {body_len} is absurd")
-    return ftype, flags, tag, port, body_len
+    return ftype, tag, port, body_len
 
 
 # The body of a NET to the coordinator: queue-empty flag, messages sent
@@ -228,7 +225,7 @@ class FrameConnection:
         if held < HEADER_BYTES:
             return None
         start = self._start
-        ftype, flags, tag, port, body_len = decode_header(self._view, start)
+        ftype, tag, port, body_len = decode_header(self._view, start)
         size = HEADER_BYTES + body_len
         if size > self.options.eager_buffer_bytes:
             raise OversizeFrameError(
@@ -241,7 +238,7 @@ class FrameConnection:
         self._start += size
         if self._start == self._end:
             self._start = self._end = 0
-        return Frame(ftype, tag, port, body, flags)
+        return Frame(ftype, tag, port, body)
 
     def read(self) -> bool:
         """Read whatever has arrived into the buffer, blocking until

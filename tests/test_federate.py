@@ -1,6 +1,7 @@
 """Federate runtime tests: whole federations run in-process over loopback."""
 
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -30,7 +31,13 @@ from hprm.store.client import REPLY_TIMEOUT_S
 from hprm.store.daemon import StoreDaemon
 from hprm.tags import FOREVER, NEVER, NO_DELAY, Delay, Tag, bound_tag, delay_tag
 from hprm.topology import Connection, Topology
-from hprm.serde import decode_payload, deserialize, encode_payload, serialize
+from hprm.serde import (
+    build_layout,
+    decode_payload,
+    deserialize,
+    encode_payload,
+    serialize,
+)
 from hprm.store.wire import ID_BYTES
 from hprm.transport import (
     HEADER_BYTES,
@@ -139,6 +146,13 @@ def store():
 def test_config_rejects_unknown_mode():
     with pytest.raises(ValueError):
         FederateConfig(fid="f", mode="anarchic")
+
+
+def test_config_rejects_a_negative_margin():
+    """A negative safe-to-process margin would run an event before its
+    tag's time."""
+    with pytest.raises(ValueError, match="margin"):
+        FederateConfig(fid="f", mode=DECENTRALIZED, stp_offset_ns=-5 * MS)
 
 
 def test_config_from_env():
@@ -316,17 +330,17 @@ def test_readable_input_runs_before_an_overdue_later_head():
         sent.set()
 
     def first(ctx):
-        ran.append(ctx.event.port)
+        ran.append(ctx.port)
         assert sent.wait(5)
         clock.set(tags["later"].time + 10 * MS)  # the next head is overdue
 
     def later(ctx):
-        ran.append(ctx.event.port)
+        ran.append(ctx.port)
         ctx.federate.request_stop()
 
     a.on("tick", tick)
     b.on("first", first)
-    b.on("in", lambda ctx: ran.append(ctx.event.port))
+    b.on("in", lambda ctx: ran.append(ctx.port))
     b.on("later", later)
 
     def setup(fed, start):
@@ -371,8 +385,8 @@ def test_a_link_whose_tags_fall_delivers_around_a_local_head():
                 ctx.publish("early", ctx.value)
 
         def record(ctx):
-            ran.append((ctx.event.port, ctx.value))
-            if ctx.event.port == "late" and ctx.value == 2:
+            ran.append((ctx.port, ctx.value))
+            if ctx.port == "late" and ctx.value == 2:
                 ctx.federate.request_stop()
 
         pub.on("tick", tick)
@@ -532,7 +546,7 @@ def test_fan_in_merge_is_deterministic_across_runs():
         for fed in feds[:2]:
             fed.on("tick", lambda ctx: ctx.publish("o", ctx.value))
         feds[2].on(("in_a", "in_b"),
-                   lambda ctx: seen.append((ctx.tag, ctx.event.port, ctx.value)))
+                   lambda ctx: seen.append((ctx.tag, ctx.port, ctx.value)))
 
         def setup(fed, start):
             if fed.fid == "a":
@@ -1168,6 +1182,36 @@ def _publish_once(pub, value):
     return [f for f in sub.frames if f.type != FrameType.NET]
 
 
+# The flat encoding of {"b": bytes(range(256)) * 16, "n": 7} starts with a
+# 34-byte header and 30 bytes of zero padding; its one segment is at 64.
+GOLDEN_HEADER = bytes.fromhex(
+    "01130000000c02000000010000006208010000006e04010701000010000000000000"
+    + "00" * 30
+)
+
+
+def test_the_flat_encoding_is_pinned_byte_for_byte(store):
+    """An inline frame's body is the golden bytes, and a store object
+    holds them too, bar its padding, which is never read."""
+    segment = bytes(range(256)) * 16
+    value = {"b": segment, "n": 7}
+    golden = GOLDEN_HEADER + segment
+    assert len(golden) == 4160
+    pub = Federate(FederateConfig(fid="pub"), pipeline("pub", "sub"))
+    (inline,) = _publish_once(pub, value)
+    assert inline.type == FrameType.TAGGED_MSG
+    assert inline.body == golden
+    small = ConnectionOptions(eager_buffer_bytes=1024)
+    pub = Federate(FederateConfig(fid="pub", connection=small), pipeline("pub", "sub"))
+    with StoreClient(store.socket_path) as pub._store:
+        (ref,) = _publish_once(pub, value)
+        assert ref.type == FrameType.OBJ_REF
+        with pub._store.get(ref.body) as sealed:
+            held = bytes(sealed.view)
+    assert len(held) == len(golden)
+    assert held[:34] == golden[:34] and held[64:] == segment
+
+
 def test_obj_ref_body_is_the_object_id(store):
     """The store object describes itself: the reference is its id alone,
     and the object decodes to the published value."""
@@ -1186,7 +1230,7 @@ def test_payload_goes_inline_exactly_when_its_frame_fits(store):
     """At the default eager buffer, a payload whose frame fills the buffer
     rides inline, and one a byte larger goes to the store."""
     eager = ConnectionOptions().eager_buffer_bytes
-    overhead = serialize(bytes(4096)).total_bytes() - 4096
+    overhead = build_layout(serialize(bytes(4096))).total_bytes - 4096
     fits = eager - HEADER_BYTES - overhead  # a byte string this long fills a frame
     pub = Federate(FederateConfig(fid="pub"), pipeline("pub", "sub"))
     with StoreClient(store.socket_path) as pub._store:
@@ -1295,7 +1339,7 @@ def test_malformed_obj_ref_ends_the_inbound_connection(caplog):
 
 @pytest.mark.parametrize(
     "body, port",
-    [(b"\x01garbage", None), (encode_payload(serialize(7)), 99)],
+    [(b"\x01garbage", None), (encode_payload(build_layout(serialize(7))), 99)],
     ids=["undecodable-body", "unknown-port"],
 )
 def test_undeliverable_frame_is_a_delivery_error(body, port):
@@ -1722,6 +1766,42 @@ def test_losing_the_coordinator_ends_every_run_with_an_error():
         assert "lost the coordination daemon" in str(result), (fed.fid, result)
         assert ended[fed.fid] - closed < 10
     assert len(handled) < 5000
+
+
+@pytest.mark.parametrize("call", ["start", "run"])
+def test_a_failed_start_closes_what_it_opened(call):
+    """A coordinator that answers the JOIN with a NET fails the start.
+    The federate closes its listener and its coordinator connection
+    before it raises, so the coordinator reads the end of the stream at
+    once, whether ``start`` or ``run`` was called."""
+    coordinator = FrameListener("127.0.0.1", 0)
+    fed = Federate(
+        FederateConfig(fid="b", rti_address=coordinator.address), pipeline("a", "b")
+    )
+    read = []
+
+    def serve():
+        with coordinator.accept() as conn:
+            read.append(conn.recv_frame().type)
+            conn.send_frame(Frame(FrameType.NET, Tag(0, 0)))
+            while select.select([conn], [], [], 1.0)[0]:
+                frame = conn.recv_frame()
+                read.append(None if frame is None else frame.type)
+                if frame is None:
+                    return
+            read.append("timeout")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(FederateError, match="expected START"):
+            getattr(fed, call)()
+        thread.join(5)
+    finally:
+        coordinator.close()
+    assert not thread.is_alive()
+    assert read[0] == FrameType.JOIN and read[-1] is None, read
+    assert fed._listener.fileno() == -1
 
 
 _PUBLISHER = """

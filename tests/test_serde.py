@@ -138,7 +138,7 @@ def test_round_trip_property(value):
 @given(value_trees)
 @settings(max_examples=100, deadline=None)
 def test_wire_round_trip_property(value):
-    blob = encode_payload(serialize(value))
+    blob = encode_payload(build_layout(serialize(value)))
     assert deep_equal(deserialize(decode_payload(blob)), value)
 
 
@@ -174,34 +174,34 @@ def test_default_deserialize_copies():
 
 def test_missing_segment_rejected():
     payload = serialize({"d": np.arange(10_000)})
-    stripped = SerializedPayload(payload.version, payload.inband, ())
+    stripped = SerializedPayload(payload.inband, ())
     with pytest.raises(PayloadFormatError):
         deserialize(stripped)
 
 
 def test_extra_segment_rejected():
     payload = serialize({"x": 1})
-    padded = SerializedPayload(payload.version, payload.inband, (b"junk",))
+    padded = SerializedPayload(payload.inband, (b"junk",))
     with pytest.raises(PayloadFormatError):
         deserialize(padded)
 
 
 def test_segment_length_must_match_array_header():
     payload = serialize({"d": np.arange(10_000, dtype=np.float64)})
-    wrong = SerializedPayload(payload.version, payload.inband, (b"\x00" * 16,))
+    wrong = SerializedPayload(payload.inband, (b"\x00" * 16,))
     with pytest.raises(PayloadFormatError):
         deserialize(wrong)
 
 
 def test_unknown_tag_rejected():
     with pytest.raises(PayloadFormatError):
-        deserialize(SerializedPayload(1, b"\xff", ()))
+        deserialize(SerializedPayload(b"\xff", ()))
 
 
 def test_truncated_stream_rejected():
     good = bytes(serialize("hello world").inband)
     with pytest.raises(PayloadFormatError):
-        deserialize(SerializedPayload(1, good[:-3], ()))
+        deserialize(SerializedPayload(good[:-3], ()))
 
 
 def test_unsupported_types_rejected():
@@ -214,9 +214,7 @@ def test_unsupported_types_rejected():
 
 
 def test_bad_version_rejected():
-    with pytest.raises(PayloadFormatError):
-        deserialize(SerializedPayload(99, b"\x01", ()))
-    blob = bytearray(encode_payload(serialize(1)))
+    blob = bytearray(encode_payload(build_layout(serialize(1))))
     blob[0] = 99
     with pytest.raises(PayloadFormatError):
         decode_payload(bytes(blob))
@@ -225,25 +223,23 @@ def test_bad_version_rejected():
 # -- the flat encoding, as frames and store objects carry it ------------------
 
 
-def _store_fill(payload):
+def _store_fill(layout):
     """An object filled the store writer's way: stale bytes (0xAA)
-    everywhere, then the header at 0 and each segment at its offset."""
-    layout = build_layout(payload)
+    everywhere, then each piece at its offset."""
     buf = bytearray(b"\xaa" * layout.total_bytes)
-    buf[: len(layout.header)] = layout.header
-    for off, seg in zip(layout.segment_offsets, payload.segments):
-        seg = memoryview(seg).cast("B")
-        buf[off : off + len(seg)] = seg
+    for off, piece in layout.pieces:
+        piece = memoryview(piece).cast("B")
+        buf[off : off + len(piece)] = piece
     return buf
 
 
 @given(value_trees)
 @settings(max_examples=100, deadline=None)
 def test_one_encoding_for_frames_and_store_objects(value):
-    payload = serialize(value)
-    blob = encode_payload(payload)
-    assert len(blob) == payload.total_bytes() == build_layout(payload).total_bytes
-    buf = _store_fill(payload)
+    layout = build_layout(serialize(value))
+    blob = encode_payload(layout)
+    assert len(blob) == layout.total_bytes
+    buf = _store_fill(layout)
     # The padding is never read: the object's stale bytes there do not matter.
     assert deep_equal(deserialize(decode_payload(buf), zero_copy=True), value)
     assert deep_equal(deserialize(decode_payload(blob)), value)
@@ -254,25 +250,29 @@ def test_layout_aligns_and_separates_segments():
         {"a": np.arange(5000, dtype=np.float64), "b": b"z" * 6000, "m": 3}
     )
     layout = build_layout(payload)
-    lens = payload.segment_lengths
-    assert len(layout.segment_offsets) == 2
-    assert layout.segment_offsets[0] >= len(layout.header)
-    for off in layout.segment_offsets:
+    (zero, header), *segments = layout.pieces
+    assert zero == 0
+    assert [seg for _, seg in segments] == list(payload.segments)
+    offsets = [off for off, _ in segments]
+    lens = [memoryview(seg).nbytes for _, seg in segments]
+    assert len(offsets) == 2
+    assert offsets[0] >= len(header)
+    for off in offsets:
         assert off % SEGMENT_ALIGNMENT == 0
-    for o1, l1, o2 in zip(layout.segment_offsets, lens, layout.segment_offsets[1:]):
+    for o1, l1, o2 in zip(offsets, lens, offsets[1:]):
         assert o1 + l1 <= o2 < o1 + l1 + SEGMENT_ALIGNMENT
     # Nothing follows the last segment.
-    assert layout.total_bytes == layout.segment_offsets[-1] + lens[-1]
+    assert layout.total_bytes == offsets[-1] + lens[-1]
     # The frame body is the store object, with zeros for padding.
-    blob = encode_payload(payload)
-    assert blob[: len(layout.header)] == layout.header
-    for off, seg in zip(layout.segment_offsets, payload.segments):
-        assert blob[off : off + len(seg)] == bytes(seg)
+    blob = encode_payload(layout)
+    for off, piece in layout.pieces:
+        assert blob[off : off + len(piece)] == bytes(piece)
+    assert blob.count(0, len(header), offsets[0]) == offsets[0] - len(header)
 
 
 def test_layout_round_trip_through_flat_buffer():
     value = {"a": np.arange(5000, dtype=np.float64), "b": b"z" * 6000, "m": 3}
-    buf = _store_fill(serialize(value))
+    buf = _store_fill(build_layout(serialize(value)))
     rebuilt = deserialize(decode_payload(buf), zero_copy=True)
     assert deep_equal(rebuilt, value)
     assert np.shares_memory(rebuilt["a"], np.frombuffer(buf, dtype=np.uint8))
@@ -280,16 +280,19 @@ def test_layout_round_trip_through_flat_buffer():
 
 def test_span_out_of_range_rejected():
     """A buffer shorter or longer than its header declares is refused."""
-    payload = serialize({"a": np.arange(5000, dtype=np.float64), "m": 3})
-    blob = encode_payload(payload)
+    layout = build_layout(
+        serialize({"a": np.arange(5000, dtype=np.float64), "m": 3})
+    )
+    (_, header), *_ = layout.pieces
+    blob = encode_payload(layout)
     with pytest.raises(PayloadFormatError, match="truncated"):
         decode_payload(blob[:-1])
     with pytest.raises(PayloadFormatError, match="truncated"):
-        decode_payload(blob[: len(build_layout(payload).header) - 1])
+        decode_payload(blob[: len(header) - 1])
     with pytest.raises(PayloadFormatError, match="trailing"):
         decode_payload(blob + b"\0")
     with pytest.raises(PayloadFormatError, match="trailing"):
-        decode_payload(encode_payload(serialize(1)) + b"\0")
+        decode_payload(encode_payload(build_layout(serialize(1))) + b"\0")
 
 
 # -- throughput harness --------------------------------------------------------

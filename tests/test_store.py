@@ -597,17 +597,17 @@ def test_payload_layout_written_with_one_pass_per_byte(store, monkeypatch):
 
     with StoreClient(store.socket_path) as writer:
         obj = writer.create(layout.total_bytes)
-        obj.write(0, layout.header)
-        for offset, seg in zip(layout.segment_offsets, payload.segments):
-            obj.write(offset, seg)
+        for offset, piece in layout.pieces:
+            obj.write(offset, piece)
         obj.seal()
         obj.close()
         assert len(passes) == 1 + len(payload.segments)
-        assert sum(passes) == len(layout.header) + arr.nbytes
+        (_, header), *_ = layout.pieces
+        assert sum(passes) == len(header) + arr.nbytes
 
         with StoreClient(store.socket_path) as reader:
             with reader.get(obj.oid) as sealed:
-                assert bytes(sealed.view) == encode_payload(payload)
+                assert bytes(sealed.view) == encode_payload(layout)
                 rebuilt = deserialize(decode_payload(sealed.view), zero_copy=True)
                 assert rebuilt["seq"] == 3
                 assert np.array_equal(rebuilt["data"], arr)
@@ -619,7 +619,7 @@ def test_truncated_store_object_is_a_format_error(store):
     """An object one byte short of what its header declares is refused,
     not read past its end."""
     payload = serialize({"data": np.arange(10_000, dtype=np.float64)})
-    blob = encode_payload(payload)[:-1]
+    blob = encode_payload(build_layout(payload))[:-1]
     with StoreClient(store.socket_path) as client:
         obj = client.create(len(blob))
         obj.write(0, blob)

@@ -68,9 +68,10 @@ def test_header_golden_layout():
 def test_header_codec_round_trip_sentinels():
     for tag in (NEVER, FOREVER, Tag(-5, 0), Tag(0, 0)):
         header = encode_header(Frame(FrameType.NET, tag))
-        ftype, flags, decoded, port, body_len = decode_header(header)
+        ftype, decoded, port, body_len = decode_header(header)
         assert decoded == tag
-        assert (ftype, flags, port, body_len) == (FrameType.NET, 0, 0, 0)
+        assert (ftype, port, body_len) == (FrameType.NET, 0, 0)
+        assert header[1] == 0  # the reserved flags byte
 
 
 finite_tags = st.builds(
@@ -89,7 +90,7 @@ finite_tags = st.builds(
 @settings(max_examples=200)
 def test_header_codec_identity(ftype, tag, port, body):
     frame = Frame(ftype, tag, port, body)
-    decoded_type, _flags, decoded_tag, decoded_port, body_len = decode_header(
+    decoded_type, decoded_tag, decoded_port, body_len = decode_header(
         encode_header(frame)
     )
     assert decoded_type == ftype
