@@ -20,7 +20,6 @@ import sys
 
 from hprm.bench.report import emit_report
 from hprm.bench.scenarios import MODES, SCENARIOS, BenchConfig, BenchError
-from hprm.store.daemon import DEFAULT_CAPACITY
 
 
 def _sizes(text: str) -> tuple[float, ...]:
@@ -37,13 +36,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("scenario", choices=sorted(SCENARIOS))
     parser.add_argument("--nodes", type=int, default=4,
-                        help="federates incl. the single pub or collector")
+                        help="broadcast and gather: federates incl. the single"
+                        " pub or collector (ordering always runs 2 publishers"
+                        " and 1 subscriber)")
     parser.add_argument("--sizes-mb", type=_sizes, default=(1.0,),
                         help="comma-separated payload sizes in MiB")
     parser.add_argument("--mode", choices=MODES, default="centralized")
-    parser.add_argument("--iters", type=int, default=100)
+    parser.add_argument("--iters", dest="iterations", type=int, default=100)
     parser.add_argument("--warmup", type=int, default=10)
-    parser.add_argument("--stp-ns", type=int, default=0,
+    parser.add_argument("--stp-ns", dest="stp_offset_ns", type=int, default=0,
                         help="decentralized safe-to-process offset")
     parser.add_argument("--out", default=None, help="CSV report path")
     parser.add_argument("--period-ns", type=int, default=None,
@@ -54,33 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ordering: uniform inbound delay bound")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pings", type=int, default=1000)
-    parser.add_argument("--store-capacity", type=int, default=DEFAULT_CAPACITY)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    out = args.pop("out")
     try:
-        cfg = BenchConfig(
-            scenario=args.scenario,
-            nodes=args.nodes,
-            sizes_mb=args.sizes_mb,
-            mode=args.mode,
-            iterations=args.iters,
-            warmup=args.warmup,
-            stp_offset_ns=args.stp_ns,
-            period_ns=args.period_ns,
-            runs=args.runs,
-            inject_latency_ns=args.inject_latency_ns,
-            seed=args.seed,
-            pings=args.pings,
-            store_capacity=args.store_capacity,
-        )
+        cfg = BenchConfig(**args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = SCENARIOS[args.scenario](cfg)
+        result = SCENARIOS[cfg.scenario](cfg)
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -93,8 +80,8 @@ def main(argv=None) -> int:
     for key, value in sorted(result.extra.items(), key=lambda kv: str(kv[0])):
         if isinstance(value, (int, float, str)):
             print(f"{key}: {value}")
-    if args.out and result.records:
-        path = emit_report(result.records, args.out)
+    if out and result.records:
+        path = emit_report(result.records, out)
         print(f"wrote {path}")
     for check in result.checks:
         print(check)

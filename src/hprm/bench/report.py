@@ -9,6 +9,7 @@ loads cleanly into pandas/gnuplot while staying human-readable.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -43,15 +44,11 @@ class LatencyRecord:
 
     @property
     def mean_ns(self) -> float:
-        return sum(self.latencies_ns) / len(self.latencies_ns)
+        return statistics.fmean(self.latencies_ns)
 
     @property
     def median_ns(self) -> float:
-        ordered = sorted(self.latencies_ns)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return float(ordered[mid])
-        return (ordered[mid - 1] + ordered[mid]) / 2
+        return statistics.median(self.latencies_ns)
 
     @property
     def p99_ns(self) -> int:

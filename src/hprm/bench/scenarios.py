@@ -9,6 +9,11 @@ scenario folds them into latency records plus named invariant checks.
 The orchestrator itself stays single-threaded; every measured code path
 runs in a spawned process.
 
+Every child is started inside ``_children``, which stops them all when
+the block ends.  A daemon or echo worker is ready once it has printed
+its listening banner.  A child that fails exits non-zero with its
+traceback on stderr, and the ``BenchError`` raised for it quotes that.
+
 Modes:
 
 * ``centralized`` -- arrival-floor ordering, a two-phase stop,
@@ -30,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,7 +85,6 @@ class BenchConfig:
     inject_latency_ns: int = 0
     seed: int = 1
     pings: int = 1000
-    store_capacity: int = DEFAULT_CAPACITY
 
     def __post_init__(self):
         if self.nodes < 2:
@@ -150,24 +155,28 @@ class _Procs:
         return "\n".join(path.read_text().splitlines()[-lines:])
 
     def wait_all(self, names: list[str], timeout_s: float) -> None:
+        """Wait until every named child has exited 0.  The first one seen
+        to fail raises at once, with its stderr, even while the others
+        still wait on it; so does the deadline, for a child still running."""
         deadline = time.monotonic() + timeout_s
-        for name, proc in self.procs:
-            if name not in names:
-                continue
-            remaining = deadline - time.monotonic()
-            try:
-                code = proc.wait(max(0.1, remaining))
-            except subprocess.TimeoutExpired:
-                self.kill_all()
+        waiting = [(name, proc) for name, proc in self.procs if name in names]
+        while True:
+            for name, proc in waiting:
+                if proc.poll():
+                    raise BenchError(
+                        f"worker {name} exited {proc.returncode};"
+                        f" stderr:\n{self.stderr_tail(name)}"
+                    )
+            waiting = [(name, proc) for name, proc in waiting if proc.returncode is None]
+            if not waiting:
+                return
+            if time.monotonic() > deadline:
+                name = waiting[0][0]
                 raise BenchError(
                     f"worker {name} did not finish within {timeout_s:.0f}s;"
                     f" stderr:\n{self.stderr_tail(name)}"
                 )
-            if code != 0:
-                self.kill_all()
-                raise BenchError(
-                    f"worker {name} exited {code}; stderr:\n{self.stderr_tail(name)}"
-                )
+            time.sleep(0.05)
 
     def kill_all(self) -> None:
         for _, proc in self.procs:
@@ -178,13 +187,27 @@ class _Procs:
                 proc.wait(5)
             except subprocess.TimeoutExpired:
                 proc.kill()
+            if proc.stdout is not None:
+                proc.stdout.close()  # the banner pipe
+
+
+@contextmanager
+def _children(prefix: str):
+    """A fresh work directory and the ``_Procs`` that starts children in
+    it; every child is stopped when the block ends, however it ends."""
+    with tempfile.TemporaryDirectory(prefix=f"hprm-{prefix}-") as tmp:
+        procs = _Procs(Path(tmp))
+        try:
+            yield procs
+        finally:
+            procs.kill_all()
 
 
 ADDRESS_DEADLINE_S = 15.0  # for a daemon's or worker's address banner
 
 
-def _read_address(procs: _Procs, name: str, proc, banner: str) -> tuple[str, int]:
-    """The ``host:port`` that ``proc`` prints after ``banner`` on stdout,
+def _read_address(procs: _Procs, name: str, proc, banner: str) -> str:
+    """The address that ``proc`` prints after ``banner`` on stdout,
     within ``ADDRESS_DEADLINE_S``, however little the process writes."""
     fd = proc.stdout.fileno()
     deadline = time.monotonic() + ADDRESS_DEADLINE_S
@@ -198,10 +221,14 @@ def _read_address(procs: _Procs, name: str, proc, banner: str) -> tuple[str, int
         *lines, pending = (pending + chunk).split(b"\n")
         for text in map(bytes.decode, lines):
             if text.startswith(banner):
-                host, _, port = text.rsplit(maxsplit=1)[-1].rpartition(":")
-                return host, int(port)
+                return text[len(banner):]
     procs.kill_all()
     raise BenchError(f"{name} failed to start: {procs.stderr_tail(name)}")
+
+
+def _host_port(address: str) -> tuple[str, int]:
+    host, _, port = address.rpartition(":")
+    return host, int(port)
 
 
 def _spawn_rti(procs: _Procs, topology: Topology, startup_ms: int = 150):
@@ -213,25 +240,18 @@ def _spawn_rti(procs: _Procs, topology: Topology, startup_ms: int = 150):
          "--topology", str(topo_path), "--startup-offset-ms", str(startup_ms)],
         stdout=subprocess.PIPE,
     )
-    return _read_address(procs, "rti", proc, "rti listening on ")
+    return _host_port(_read_address(procs, "rti", proc, "rti listening on "))
 
 
 def _spawn_store(procs: _Procs, capacity: int) -> str:
-    sock = str(procs.workdir / "store.sock")
-    procs.spawn(
+    proc = procs.spawn(
         "store",
-        [sys.executable, "-m", "hprm.store.daemon", "--socket", sock,
+        [sys.executable, "-m", "hprm.store.daemon",
+         "--socket", str(procs.workdir / "store.sock"),
          "--capacity-bytes", str(capacity)],
+        stdout=subprocess.PIPE,
     )
-    deadline = time.monotonic() + 15
-    while time.monotonic() < deadline:
-        try:
-            StoreClient(sock).close()
-            return sock
-        except OSError:
-            time.sleep(0.02)
-    procs.kill_all()
-    raise BenchError(f"store daemon failed to start: {procs.stderr_tail('store')}")
+    return _read_address(procs, "store", proc, "store listening on ")
 
 
 def _spawn_worker(procs: _Procs, cfg: dict, **popen_kw) -> tuple[subprocess.Popen, Path]:
@@ -248,50 +268,35 @@ def _spawn_worker(procs: _Procs, cfg: dict, **popen_kw) -> tuple[subprocess.Pope
     return proc, result_path
 
 
-def _load_result(path: Path, name: str) -> dict:
-    if not path.exists():
-        raise BenchError(f"worker {name} left no result file")
-    result = json.loads(path.read_text())
-    if "error" in result:
-        raise BenchError(f"worker {name} failed: {result['error']}")
-    return result
-
-
 def _run_federation(
     prefix: str,
     topology: Topology,
     shared: dict,
     workers: list[dict],
     budget_s: float,
-    store_capacity: int | None = None,
+    capacity: int | None = None,
 ) -> tuple[dict[str, dict], dict | None]:
     """Run one federation to its end: a store daemon when given a
     capacity, the coordinator, then one worker per entry of ``workers``
     (each merged over ``shared``), in that order.  Returns the workers'
     results by federate id and the store's final stats (None without a
     store)."""
-    with tempfile.TemporaryDirectory(prefix=f"hprm-{prefix}-") as tmp:
-        procs = _Procs(Path(tmp))
-        try:
-            store_path = None
-            if store_capacity is not None:
-                store_path = _spawn_store(procs, store_capacity)
-            host, port = _spawn_rti(procs, topology)
-            shared = shared | {
-                "topology": topology.to_dict(),
-                "rti_host": host,
-                "rti_port": port,
-                "store_path": store_path,
-            }
-            paths = {w["fid"]: _spawn_worker(procs, shared | w)[1] for w in workers}
-            procs.wait_all(list(paths), budget_s)
-            results = {fid: _load_result(path, fid) for fid, path in paths.items()}
-            stats = None
-            if store_path is not None:
-                with StoreClient(store_path) as client:
-                    stats = client.stats()
-        finally:
-            procs.kill_all()
+    with _children(prefix) as procs:
+        store_path = None if capacity is None else _spawn_store(procs, capacity)
+        host, port = _spawn_rti(procs, topology)
+        shared = shared | {
+            "topology": topology.to_dict(),
+            "rti_host": host,
+            "rti_port": port,
+            "store_path": store_path,
+        }
+        paths = {w["fid"]: _spawn_worker(procs, shared | w)[1] for w in workers}
+        procs.wait_all(list(paths), budget_s)
+        results = {fid: json.loads(path.read_text()) for fid, path in paths.items()}
+        stats = None
+        if store_path is not None:
+            with StoreClient(store_path) as client:
+                stats = client.stats()
     return results, stats
 
 
@@ -336,7 +341,7 @@ def _run_payload_scenario(cfg: BenchConfig, size_bytes: int, gather: bool):
         shared,
         workers,
         60 + cfg.iterations * period / 1e9 * 4,
-        None if copy else cfg.store_capacity,
+        None if copy else DEFAULT_CAPACITY,
     )
 
     starts = {
@@ -579,7 +584,7 @@ def _ping_once(procs: _Procs, name: str, disable_coalescing: bool, count: int):
     proc, _ = _spawn_worker(procs, cfg, stdout=subprocess.PIPE)
     address = _read_address(procs, name, proc, "echo listening on ")
     options = ConnectionOptions(disable_coalescing=disable_coalescing)
-    conn = connect(address, options, retry_for=5.0)
+    conn = connect(_host_port(address), options, retry_for=5.0)
     try:
         rtts = _message_rtt(conn, count, warmup=min(50, count // 10 + 1))
     finally:
@@ -611,13 +616,9 @@ def _message_rtt(conn: FrameConnection, count: int, warmup: int) -> list[int]:
 
 def run_ping(cfg: BenchConfig) -> ScenarioResult:
     out = ScenarioResult()
-    with tempfile.TemporaryDirectory(prefix="hprm-ping-") as tmp:
-        procs = _Procs(Path(tmp))
-        try:
-            fast = _ping_once(procs, "echo-nodelay", True, cfg.pings)
-            slow = _ping_once(procs, "echo-coalesced", False, cfg.pings)
-        finally:
-            procs.kill_all()
+    with _children("ping") as procs:
+        fast = _ping_once(procs, "echo-nodelay", True, cfg.pings)
+        slow = _ping_once(procs, "echo-coalesced", False, cfg.pings)
     out.records.append(LatencyRecord("ping", "nodelay", 64, tuple(fast)))
     out.records.append(LatencyRecord("ping", "coalesced", 64, tuple(slow)))
     m_fast = statistics.median(fast)
@@ -655,30 +656,26 @@ def measure_write_delay(size_bytes: int, iterations: int = 15, warmup: int = 3):
     value = {"seq": 0, "data": np.arange(max(1, size_bytes // 8), dtype=np.float64)}
     store_ns: list[int] = []
     base_ns: list[int] = []
-    with tempfile.TemporaryDirectory(prefix="hprm-writedelay-") as tmp:
-        procs = _Procs(Path(tmp))
-        try:
-            sock = _spawn_store(procs, 3 * size_bytes + (1 << 20))
-            with StoreClient(sock) as client:
-                sink = bytearray(size_bytes + (1 << 20))
-                for i in range(warmup + iterations):
-                    t0 = time.perf_counter_ns()
-                    layout = build_layout(serialize(value))
-                    client.put(layout.total_bytes, layout.pieces)
-                    t1 = time.perf_counter_ns()
-                    if i >= warmup:
-                        store_ns.append(t1 - t0)
+    with _children("writedelay") as procs:
+        sock = _spawn_store(procs, 3 * size_bytes + (1 << 20))
+        with StoreClient(sock) as client:
+            sink = bytearray(size_bytes + (1 << 20))
+            for i in range(warmup + iterations):
+                t0 = time.perf_counter_ns()
+                layout = build_layout(serialize(value))
+                client.put(layout.total_bytes, layout.pieces)
+                t1 = time.perf_counter_ns()
+                if i >= warmup:
+                    store_ns.append(t1 - t0)
 
-                for i in range(warmup + iterations):
-                    t0 = time.perf_counter_ns()
-                    payload = serialize(value, oob_floor=None)
-                    blob = encode_payload(build_layout(payload))
-                    sink[: len(blob)] = blob
-                    t1 = time.perf_counter_ns()
-                    if i >= warmup:
-                        base_ns.append(t1 - t0)
-        finally:
-            procs.kill_all()
+            for i in range(warmup + iterations):
+                t0 = time.perf_counter_ns()
+                payload = serialize(value, oob_floor=None)
+                blob = encode_payload(build_layout(payload))
+                sink[: len(blob)] = blob
+                t1 = time.perf_counter_ns()
+                if i >= warmup:
+                    base_ns.append(t1 - t0)
     return tuple(store_ns), tuple(base_ns)
 
 

@@ -3,7 +3,9 @@
 Each federate in a benchmark run is one of these processes, launched as
 ``python -m hprm.bench.worker --config <json file>``.  The config names
 a role; the role decides which reactions get registered.  Results land
-in a JSON file the orchestrator collects after the process exits.
+in a JSON file the orchestrator collects after the process exits.  A
+role that fails ends the process with a non-zero exit and its traceback
+on stderr, which the orchestrator quotes in the error it raises.
 
 Roles:
 
@@ -158,7 +160,7 @@ def run_echo(cfg: dict) -> dict:
         if frame.type == FrameType.NET:
             conn.send_frame(frame)
     conn.close()
-    return {"summary": {"status": "completed"}}
+    return {}
 
 
 ROLES = {"pub": run_pub, "sub": run_sub, "echo": run_echo}
@@ -186,19 +188,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     args = parser.parse_args(argv)
     cfg = json.loads(Path(args.config).read_text())
-    role = cfg["role"]
     _boost_scheduling()
-    try:
-        result = ROLES[role](cfg)
-        result["role"] = role
-        result["fid"] = cfg.get("fid", "")
-        status = 0
-    except Exception as exc:  # reported to the orchestrator, not swallowed
-        result = {"role": role, "fid": cfg.get("fid", ""), "error": repr(exc)}
-        status = 1
-    if cfg.get("result_path"):
-        Path(cfg["result_path"]).write_text(json.dumps(result))
-    return status
+    result = ROLES[cfg["role"]](cfg)
+    Path(cfg["result_path"]).write_text(json.dumps(result))
+    return 0
 
 
 if __name__ == "__main__":

@@ -68,7 +68,6 @@ from __future__ import annotations
 import heapq
 import json
 import logging
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -162,18 +161,6 @@ class FederateConfig:
             raise ValueError(f"unknown coordination mode {self.mode!r}")
         if self.stp_offset_ns < 0:
             raise ValueError(f"negative safe-to-process margin {self.stp_offset_ns}")
-
-    @classmethod
-    def from_env(cls, fid: str, environ=None, **overrides) -> "FederateConfig":
-        """Build a config from HPRM_* environment variables."""
-        env = os.environ if environ is None else environ
-        if "rti_address" not in overrides and env.get("HPRM_RTI_ADDR"):
-            host, _, port = env["HPRM_RTI_ADDR"].rpartition(":")
-            overrides["rti_address"] = (host, int(port))
-        for key, kind in (("store_path", str), ("mode", str), ("stp_offset_ns", int)):
-            if key not in overrides and env.get(f"HPRM_{key.upper()}"):
-                overrides[key] = kind(env[f"HPRM_{key.upper()}"])
-        return cls(fid=fid, **overrides)
 
 
 class ReactionContext:

@@ -286,6 +286,8 @@ def main(argv=None) -> int:
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
     daemon = StoreDaemon(args.socket, args.capacity_bytes)
+    # Launchers wait for this line to know the socket is bound.
+    print(f"store listening on {daemon.socket_path}", flush=True)
     signal.signal(signal.SIGTERM, lambda *_: daemon.request_stop())
     signal.signal(signal.SIGINT, lambda *_: daemon.request_stop())
     daemon.run()

@@ -212,6 +212,20 @@ def test_ordering_scenario_conserves_messages():
     assert result.extra["sub"]["processed"] == 80
 
 
+def test_a_failed_worker_reports_its_error():
+    """A worker whose role raises ends with its traceback on stderr, and
+    the BenchError the run raises quotes the exception."""
+    cfg = BenchConfig(
+        scenario="ordering",
+        mode="decentralized",
+        runs=20,
+        period_ns=1_000_000,
+        stp_offset_ns=-1,
+    )
+    with pytest.raises(BenchError, match="negative safe-to-process margin"):
+        run_ordering(cfg)
+
+
 def test_cli_writes_report_and_exits_zero(tmp_path):
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
@@ -300,6 +314,21 @@ def test_address_read_gives_up_on_a_silent_child_at_its_deadline(tmp_path, monke
         _read_address(procs, "quiet", proc, "quiet listening on ")
     assert time.monotonic() - t0 < 2.0 + 1.0
     assert proc.poll() is not None  # and it was stopped
+
+
+def test_a_failed_child_is_reported_while_another_still_runs(tmp_path):
+    """A child listed after one that never ends fails: waiting raises its
+    error at once, not the first child's timeout at the deadline."""
+    procs = _Procs(tmp_path)
+    try:
+        procs.spawn("slow", [sys.executable, "-c", "import time; time.sleep(20)"])
+        procs.spawn("bad", [sys.executable, "-c", "raise SystemExit('boom')"])
+        t0 = time.monotonic()
+        with pytest.raises(BenchError, match="(?s)worker bad exited 1;.*boom"):
+            procs.wait_all(["slow", "bad"], 15)
+        assert time.monotonic() - t0 < 5
+    finally:
+        procs.kill_all()
 
 
 def test_spawning_a_child_leaves_no_file_open(tmp_path):

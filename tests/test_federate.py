@@ -155,23 +155,6 @@ def test_config_rejects_a_negative_margin():
         FederateConfig(fid="f", mode=DECENTRALIZED, stp_offset_ns=-5 * MS)
 
 
-def test_config_from_env():
-    env = {
-        "HPRM_RTI_ADDR": "10.0.0.1:9999",
-        "HPRM_STORE_PATH": "/tmp/s.sock",
-        "HPRM_MODE": "decentralized",
-        "HPRM_STP_OFFSET_NS": "250000",
-    }
-    cfg = FederateConfig.from_env("f7", environ=env)
-    assert cfg.rti_address == ("10.0.0.1", 9999)
-    assert cfg.store_path == "/tmp/s.sock"
-    assert cfg.mode == DECENTRALIZED
-    assert cfg.stp_offset_ns == 250_000
-    # explicit overrides beat the environment
-    cfg = FederateConfig.from_env("f7", environ=env, mode=CENTRALIZED)
-    assert cfg.mode == CENTRALIZED
-
-
 def test_federate_must_appear_in_topology():
     topo = pipeline("a", "b")
     with pytest.raises(ValueError):
